@@ -166,10 +166,15 @@ int main(int argc, char** argv) {
   fit.row({"gamma", bench::fmt_d(gamma, 12), "-", "s/flop"});
   fit.print();
   std::printf("(fit rms residual %.3e s over %zu samples; transport "
-              "verified %llu of %llu moved words)\n\n",
+              "verified %llu of %llu moved words)\n",
               net.residual, net_samples.size(),
               (unsigned long long)net_stats.verified,
               (unsigned long long)net_stats.words);
+  std::printf("network fit degenerate: %s\n\n",
+              net.degenerate
+                  ? "yes (a coefficient fit to zero; alpha_nw/beta_nw "
+                    "above keep the default for it)"
+                  : "no");
 
   json.add("fit", "alpha_nw_seconds", fitted.alpha_nw);
   json.add("fit", "beta_nw_seconds", fitted.beta_nw);

@@ -13,7 +13,6 @@
 // event counts) are drift-checked by CI; every timing key contains
 // "wall" and is excluded.
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -30,23 +29,8 @@ namespace {
 
 using namespace wa;
 
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Best-of-@p reps wall time of @p fn (seconds).
-template <typename Fn>
-double best_of(std::size_t reps, Fn&& fn) {
-  double best = 1e300;
-  for (std::size_t r = 0; r < reps; ++r) {
-    const double t0 = now_s();
-    fn();
-    best = std::min(best, now_s() - t0);
-  }
-  return best;
-}
+using bench::best_of;
+using bench::now_s;
 
 struct KernelCase {
   const char* name;

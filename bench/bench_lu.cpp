@@ -9,8 +9,10 @@
 // grids) and executed by the WA_BACKEND backend; a final section
 // re-runs both schedules under the serial simulator and the thread
 // pool and prints the wall-clock speedup, whose channel counters must
-// stay byte-identical.
+// stay byte-identical.  A last line prints LL-LU's GF/s as a fraction
+// of the same run's gemm GF/s -- the speed ratio CI gates.
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -20,7 +22,9 @@
 #include "dist/cost_model.hpp"
 #include "dist/lu.hpp"
 #include "dist/machine.hpp"
+#include "dist/transport.hpp"
 #include "linalg/kernels.hpp"
+#include "linalg/local_kernels.hpp"
 
 using namespace wa;
 using namespace wa::dist;
@@ -128,6 +132,47 @@ int main(int argc, char** argv) {
                 "parallelize -- speedup needs problem sizes around "
                 "n >= 512, e.g. WA_SCALE=8)\n",
                 threads);
+  }
+
+  // Same-run speed ratio: LL-LU GF/s at a fixed shape (n = 384, P = 4,
+  // b = 2; serial backend, charge-only transport) over the active
+  // kernels' gemm GF/s at 384^3 (blocked unless WA_KERNELS=naive), both
+  // best of kReps in this process.  Absolute wall times drift with the
+  // host; the ratio is what CI gates (check_drift.py --perf
+  // ll_over_gemm_ratio>=FLOOR), and the many reps keep a transient
+  // stall on a shared runner out of it.
+  {
+    const std::size_t rn = 384, rP = 4, rb = 2, kReps = 10;
+    const auto r0 = linalg::random_spd(rn, 7);
+    double t_ll = 1e300;
+    for (std::size_t rep = 0; rep < kReps; ++rep) {
+      auto a = r0;
+      Machine m(rP, M1, M2, M3, HwParams{},
+                std::make_unique<SerialSimBackend>(),
+                std::make_unique<SimTransport>());
+      const double t0 = bench::now_s();
+      lu_left_looking(m, a.view(), rb, /*s=*/2);
+      t_ll = std::min(t_ll, bench::now_s() - t0);
+    }
+    linalg::Matrix<double> ga(rn, rn), gb(rn, rn), gc(rn, rn, 0.0);
+    linalg::fill_random(ga, 8);
+    linalg::fill_random(gb, 9);
+    const double t_gemm = bench::best_of(kReps, [&] {
+      linalg::active_kernels().gemm_acc(gc.view(), ga.view(), gb.view(), 1.0);
+    });
+    const double n3 = double(rn) * double(rn) * double(rn);
+    const double ll_gflops = 2.0 * n3 / 3.0 / t_ll * 1e-9;
+    const double gemm_gflops = 2.0 * n3 / t_gemm * 1e-9;
+    const double ratio = ll_gflops / gemm_gflops;
+    std::printf("\nLL-LU vs same-run gemm (n=%zu, P=%zu, b=%zu, serial, %s "
+                "kernels): LL %.3f GF/s, gemm %.2f GF/s, "
+                "ll_over_gemm_ratio = %.3f\n",
+                rn, rP, rb, linalg::active_kernels().name, ll_gflops,
+                gemm_gflops, ratio);
+    json.add("ll_over_gemm_ratio", "n", std::uint64_t(rn));
+    json.add("ll_over_gemm_ratio", "procs", std::uint64_t(rP));
+    json.add("ll_over_gemm_ratio", "panel", std::uint64_t(rb));
+    json.add("ll_over_gemm_ratio", "ll_over_gemm_ratio", ratio);
   }
 
   std::printf(

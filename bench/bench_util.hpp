@@ -4,6 +4,8 @@
 // ASCII tables), centralized environment parsing, and the --json
 // machine-readable report CI diffs against checked-in baselines.
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -16,6 +18,25 @@
 #include "dist/machine.hpp"
 
 namespace wa::bench {
+
+/// Monotonic wall clock in seconds.
+inline double now_s() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// Best-of-@p reps wall time of @p fn (seconds).
+template <typename Fn>
+double best_of(std::size_t reps, Fn&& fn) {
+  double best = 1e300;
+  for (std::size_t r = 0; r < reps; ++r) {
+    const double t0 = now_s();
+    fn();
+    best = std::min(best, now_s() - t0);
+  }
+  return best;
+}
 
 /// True when every channel counter (words and messages) of every
 /// processor agrees -- the backends' byte-identical-counters claim

@@ -26,9 +26,23 @@ AlphaBeta fit_alpha_beta(const std::vector<CommSample>& samples) {
   // bandwidth, which is the dominant channel for the sizes we sweep.
   if (samples.size() < 2 || std::abs(det) < 1e-30 * std::max(mm * ww, 1.0)) {
     out.beta = ww > 0 ? ws / ww : 0.0;
+    out.degenerate = true;
   } else {
     out.alpha = (ms * ww - ws * mw) / det;
     out.beta = (ws * mm - ms * mw) / det;
+    // A negative coefficient is noise, not physics, but clamping it
+    // to zero while keeping the other joint coefficient leaves a fit
+    // that is no longer least-squares.  The nonnegative optimum then
+    // lies on that boundary: refit the remaining coefficient alone.
+    if (out.alpha < 0) {
+      out.alpha = 0.0;
+      out.beta = ww > 0 ? ws / ww : 0.0;
+      out.degenerate = true;
+    } else if (out.beta < 0) {
+      out.beta = 0.0;
+      out.alpha = mm > 0 ? ms / mm : 0.0;
+      out.degenerate = true;
+    }
   }
   out.alpha = std::max(0.0, out.alpha);
   out.beta = std::max(0.0, out.beta);

@@ -34,14 +34,24 @@ struct AlphaBeta {
   double alpha = 0.0;     ///< s/message
   double beta = 0.0;      ///< s/word
   double residual = 0.0;  ///< root-mean-square seconds residual
+  /// The fit could not determine both coefficients: the samples were
+  /// rank-deficient, or the unconstrained optimum had a negative
+  /// coefficient and the fit fell back to the other one alone.  A
+  /// zero coefficient from such a fit means "not measured", and
+  /// fitted_hw keeps the default for it.
+  bool degenerate = false;
 };
 
 /// Least-squares fit of seconds ~ alpha * messages + beta * words
-/// over @p samples via the 2x2 normal equations.  Degenerate systems
-/// (fewer than two samples, or all samples proportional) fall back to
-/// a pure-bandwidth fit (alpha = 0).  Negative coefficients are
-/// clamped to zero: a latency or bandwidth below zero is measurement
-/// noise, not physics.
+/// over @p samples via the 2x2 normal equations, constrained to
+/// alpha, beta >= 0.  Degenerate systems (fewer than two samples, or
+/// all samples proportional) fall back to a pure-bandwidth fit
+/// (alpha = 0).  When the unconstrained optimum has a negative
+/// coefficient (a latency or bandwidth below zero is measurement
+/// noise, not physics), that coefficient is pinned to zero and the
+/// other is refit alone -- beta = sum(w*s) / sum(w*w) on the alpha = 0
+/// boundary -- which is the constrained least-squares optimum.  Both
+/// fallbacks set AlphaBeta::degenerate.
 AlphaBeta fit_alpha_beta(const std::vector<CommSample>& samples);
 
 /// HwParams with the network channel replaced by measured

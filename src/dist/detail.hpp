@@ -4,9 +4,13 @@
 // the corresponding local data movement to a processor's
 // memsim::Hierarchy in capacity-respecting chunks, so an algorithm
 // that claims to be blocked for M1/M2 words cannot silently cheat.
+// Each helper models a loop of per-tile or per-chunk load/store calls
+// but charges it in closed form through one Hierarchy::burst: the
+// counters and the capacity verdict are the loop's, the cost is O(1).
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -42,33 +46,41 @@ inline std::size_t l2_chunk(std::size_t M2) {
   return std::max<std::size_t>(1, M2 / 4);
 }
 
+/// ceil(a / b) for b > 0.
+inline std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) {
+  return (a + b - 1) / b;
+}
+
 /// Charge the L1<->L2 traffic of a blocked local C(m x n) += A(m x k)
-/// * B(k x n): each C tile is loaded into L1 once and stored back to
-/// L2 exactly once; A/B tiles stream through and are discarded.
+/// * B(k x n) in L1 tiles of edge b: each C tile is loaded into L1
+/// once and stored back to L2 exactly once; the A/B tiles of every
+/// k-step stream through and are discarded.  Closed form over the
+/// ceil(m/b) x ceil(n/b) C tiles: m*n + k*(m*ceil(n/b) + n*ceil(m/b))
+/// words in tiles*(1 + 2*ceil(k/b)) load messages, one store per tile,
+/// and a peak of the first (largest) C tile plus its A and B tiles.
 inline void charge_local_gemm(memsim::Hierarchy& h, std::size_t m,
                               std::size_t n, std::size_t k, std::size_t b) {
-  for (std::size_t i0 = 0; i0 < m; i0 += b) {
-    const std::size_t bi = std::min(b, m - i0);
-    for (std::size_t j0 = 0; j0 < n; j0 += b) {
-      const std::size_t bj = std::min(b, n - j0);
-      h.load(0, bi * bj);  // C tile
-      for (std::size_t k0 = 0; k0 < k; k0 += b) {
-        const std::size_t bk = std::min(b, k - k0);
-        h.load(0, bi * bk);
-        h.load(0, bk * bj);
-        h.flops(2 * std::uint64_t(bi) * bj * bk);
-        h.discard(0, bi * bk + bk * bj);
-      }
-      h.store(0, bi * bj);  // one write-back per tile
-    }
-  }
+  if (m == 0 || n == 0) return;
+  const std::uint64_t tm = ceil_div(m, b), tn = ceil_div(n, b);
+  const std::uint64_t tiles = tm * tn;
+  const std::uint64_t mn = std::uint64_t(m) * n;
+  const std::uint64_t streamed = std::uint64_t(k) * (m * tn + n * tm);
+  const std::size_t bm = std::min(b, m), bn = std::min(b, n);
+  const std::size_t bk = std::min(b, k);
+  memsim::Burst burst;
+  burst.peak = bm * bn + bm * bk + bk * bn;
+  burst.load = {mn + streamed, tiles * (1 + 2 * ceil_div(k, b))};
+  burst.store = {mn, tiles};
+  burst.discard = streamed;
+  h.burst(0, burst);
+  h.flops(2 * mn * k);
 }
 
 /// Charge the L1<->L2 traffic of an in-place blocked triangular solve
 /// or panel factor on an m x n tile against a k-wide triangle: the
 /// tile moves exactly like a blocked gemm of that shape (each output
 /// tile loaded and stored once, operand tiles streamed), so the gemm
-/// charger is reused rather than duplicating its loop.
+/// charger is reused.
 inline void charge_local_solve(memsim::Hierarchy& h, std::size_t m,
                                std::size_t n, std::size_t k, std::size_t b) {
   charge_local_gemm(h, m, n, k, b);
@@ -89,35 +101,35 @@ inline std::size_t l2_room(std::size_t M2, std::size_t reserved) {
                                std::min((M2 - reserved) / 2, l2_chunk(M2)));
 }
 
-/// Stream @p words from L3 through L2 (read and discard), chunked so
-/// they coexist with @p reserved already-resident L2 words.
+/// Stream @p words from L3 through L2 (read and discard), in
+/// l2_room-sized chunks so they coexist with @p reserved
+/// already-resident L2 words: one load message per chunk.
 inline void charge_l3_read(memsim::Hierarchy& h, std::size_t words,
                            std::size_t M2, std::size_t reserved = 0) {
   const std::size_t chunk = l2_room(M2, reserved);
-  while (words > 0) {
-    const std::size_t w = std::min(chunk, words);
-    h.load(1, w);
-    h.discard(1, w);
-    words -= w;
-  }
+  memsim::Burst burst;
+  burst.peak = std::min(chunk, words);
+  burst.load = {words, ceil_div(words, chunk)};
+  burst.discard = words;
+  h.burst(1, burst);
 }
 
-/// Stream @p words from L2 into L3 (NVM writes), chunked so they
-/// coexist with @p reserved already-resident L2 words.
+/// Stream @p words from L2 into L3 (NVM writes), each l2_room-sized
+/// chunk allocated in L2 and stored: one store message per chunk.
 inline void charge_l3_write(memsim::Hierarchy& h, std::size_t words,
                             std::size_t M2, std::size_t reserved = 0) {
   const std::size_t chunk = l2_room(M2, reserved);
-  while (words > 0) {
-    const std::size_t w = std::min(chunk, words);
-    h.alloc(1, w);
-    h.store(1, w);
-    words -= w;
-  }
+  memsim::Burst burst;
+  burst.peak = std::min(chunk, words);
+  burst.alloc = words;
+  burst.store = {words, ceil_div(words, chunk)};
+  h.burst(1, burst);
 }
 
 /// Hold @p words transiently resident in L2 alongside @p reserved
-/// already-resident words, chunked so the level's capacity is never
-/// exceeded (pure occupancy bookkeeping: no channel traffic).
+/// already-resident words, in chunks of half the free room so the
+/// level's capacity is never exceeded (pure occupancy bookkeeping: no
+/// channel traffic).
 inline void charge_l2_transit(memsim::Hierarchy& h, std::size_t words,
                               std::size_t M2, std::size_t reserved) {
   if (M2 < 2 || reserved > M2 - 2) {
@@ -127,12 +139,11 @@ inline void charge_l2_transit(memsim::Hierarchy& h, std::size_t words,
         "-word L2");
   }
   const std::size_t chunk = std::max<std::size_t>(1, (M2 - reserved) / 2);
-  while (words > 0) {
-    const std::size_t w = std::min(chunk, words);
-    h.alloc(1, w);
-    h.discard(1, w);
-    words -= w;
-  }
+  memsim::Burst burst;
+  burst.peak = std::min(chunk, words);
+  burst.alloc = words;
+  burst.discard = words;
+  h.burst(1, burst);
 }
 
 /// Pack a (possibly strided) matrix block contiguously into @p

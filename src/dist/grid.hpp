@@ -65,15 +65,22 @@ inline std::vector<BlockRange> cyclic_blocks(std::size_t n, std::size_t b,
 }
 
 /// Total size of @p owner's cyclic_blocks of [lo, n) -- the word count
-/// behind every per-rank LU charge.
+/// behind every per-rank LU charge.  O(1): owner's share of a prefix
+/// [0, x) is b words per full round of parts blocks plus its clipped
+/// slot in the last partial round.
 inline std::size_t cyclic_words(std::size_t n, std::size_t b,
                                 std::size_t parts, std::size_t owner,
                                 std::size_t lo = 0) {
-  std::size_t words = 0;
-  for (const BlockRange& r : cyclic_blocks(n, b, parts, owner, lo)) {
-    words += r.sz;
+  if (b == 0 || parts == 0) {
+    throw std::invalid_argument("cyclic_words: b and parts must be positive");
   }
-  return words;
+  if (owner >= parts || lo >= n) return 0;
+  const std::size_t round = b * parts, slot = owner * b;
+  const auto prefix = [&](std::size_t x) {
+    const std::size_t rem = x % round;
+    return x / round * b + (rem > slot ? std::min(b, rem - slot) : 0);
+  };
+  return prefix(n) - prefix(lo);
 }
 
 /// 2-D process topology: pr x pc ranks in row-major order.

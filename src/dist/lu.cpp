@@ -189,36 +189,45 @@ void lu_left_looking(Machine& m, linalg::MatrixView<double> A, std::size_t b,
   const std::size_t b1 = detail::l1_tile(m.M1());
   const bool move = m.transport().moves_data();
   std::vector<double> scratch;
+  // The active column's finished U blocks, rows [0, j0) x w packed
+  // contiguously as they are broadcast down the column group: the B
+  // operand of every update of the column, read once per k instead of
+  // once per strided row of A.
+  std::vector<double> ucol(n * b);
 
   for (std::size_t j0 = 0; j0 < n; j0 += b) {
     const std::size_t jb = j0 / b;
     const std::size_t w = std::min(b, n - j0);
     const std::size_t jc = g.cyclic_col_owner(jb);
     const std::vector<std::size_t> colg = g.col_group(jc);
+    const auto u_above = [&](std::size_t rows) {
+      return linalg::ConstMatrixView<double>(ucol.data(), rows, w, w);
+    };
 
     // Prior-panel refetch, the LL re-communication: every rank reads
     // the L tiles it owns in block columns < jb from its NVM and
     // ships them along its grid row to the column group factoring
     // block column jb.  @p s batches the shipments into s-panel
-    // groups (fewer, larger messages; the words are unchanged).
+    // groups (fewer, larger messages; the words are unchanged).  Rank
+    // (i, j) owns block columns q = j, j + pc, ... of width b (j0 is a
+    // multiple of b) and, in each, its cyclic rows below the block.
     if (j0 > 0) {
+      const auto l_words = [&](std::size_t i, std::size_t q) {
+        return g.cyclic_row_words(n, b, i, (q + 1) * b) * b;
+      };
       m.run_local_each([&](std::size_t p, memsim::Hierarchy& h) {
-        const std::size_t i = g.row_of(p), j = g.col_of(p);
+        const std::size_t i = g.row_of(p);
         std::size_t words = 0;
-        for (std::size_t q0 = 0; q0 < j0; q0 += b) {
-          if (g.cyclic_col_owner(q0 / b) != j) continue;
-          const std::size_t qw = std::min(b, j0 - q0);
-          words += g.cyclic_row_words(n, b, i, q0 + qw) * qw;
+        for (std::size_t q = g.col_of(p); q < jb; q += g.cols()) {
+          words += l_words(i, q);
         }
         detail::charge_l3_read(h, words, m.M2());
       });
       for (std::size_t i = 0; i < g.rows(); ++i) {
         for (std::size_t j = 0; j < g.cols(); ++j) {
           std::size_t batched = 0, in_batch = 0;
-          for (std::size_t q0 = 0; q0 < j0; q0 += b) {
-            if (g.cyclic_col_owner(q0 / b) != j) continue;
-            const std::size_t qw = std::min(b, j0 - q0);
-            batched += g.cyclic_row_words(n, b, i, q0 + qw) * qw;
+          for (std::size_t q = j; q < jb; q += g.cols()) {
+            batched += l_words(i, q);
             if (++in_batch == s) {
               if (batched > 0) m.send(g.rank(i, j), g.rank(i, jc), batched);
               batched = 0;
@@ -234,7 +243,10 @@ void lu_left_looking(Machine& m, linalg::MatrixView<double> A, std::size_t b,
     // block-row order; each owner pulls every pending panel update
     // into its tile, then solves against the stored unit-lower
     // diagonal -- the forward-substitution dependency that makes this
-    // the sequential spine of LL.
+    // the sequential spine of LL.  The updates from all prior panels
+    // run as one gemm over the whole K range [0, k0): the charge
+    // still models b1-tiled L1 traffic, and each entry accumulates in
+    // ascending k exactly as panel-by-panel calls would.
     for (std::size_t k0 = 0; k0 < j0; k0 += b) {
       const std::size_t kw = std::min(b, j0 - k0);
       const std::size_t uowner = g.rank(g.cyclic_row_owner(k0 / b), jc);
@@ -242,10 +254,10 @@ void lu_left_looking(Machine& m, linalg::MatrixView<double> A, std::size_t b,
         detail::charge_l3_read(h, kw * w, m.M2());  // own U tile, once
         // Received L row tiles and earlier U blocks pass through L2.
         detail::charge_l2_transit(h, k0 * kw + k0 * w, m.M2(), 0);
-        for (std::size_t q0 = 0; q0 < k0; q0 += b) {
-          const std::size_t qw = std::min(b, k0 - q0);
-          linalg::active_kernels().gemm_acc(A.block(k0, j0, kw, w), A.block(k0, q0, kw, qw),
-                           A.block(q0, j0, qw, w), -1.0);
+        if (k0 > 0) {
+          linalg::active_kernels().gemm_acc(A.block(k0, j0, kw, w),
+                                            A.block(k0, 0, kw, k0),
+                                            u_above(k0), -1.0);
         }
         linalg::active_kernels().trsm_left_unit_lower(A.block(k0, k0, kw, kw),
                                      A.block(k0, j0, kw, w));
@@ -256,23 +268,26 @@ void lu_left_looking(Machine& m, linalg::MatrixView<double> A, std::size_t b,
       m.bcast(colg, kw * w,
               move ? detail::pack_block(A.block(k0, j0, kw, w), scratch)
                    : nullptr);
+      for (std::size_t r = k0; r < k0 + kw; ++r) {
+        std::copy_n(&A(r, j0), w, ucol.data() + r * w);
+      }
     }
 
     // Below-diagonal update: each rank of the column group applies
     // all prior panels to its cyclic rows of [j0, n), reading its
     // column blocks from NVM once (they stay resident until the final
-    // write below -- no intermediate write-back).
+    // write below -- no intermediate write-back).  One gemm per owned
+    // row block covers every prior panel.
     m.run_local_on(colg, [&](std::size_t p, memsim::Hierarchy& h) {
       const auto rbs = g.cyclic_row_blocks(n, b, g.row_of(p), j0);
       const std::size_t own_rows = sum_sizes(rbs);
       detail::charge_l3_read(h, own_rows * w, m.M2());
       detail::charge_l2_transit(h, own_rows * j0 + j0 * w, m.M2(), 0);
-      for (const BlockRange& rb : rbs) {
-        for (std::size_t q0 = 0; q0 < j0; q0 += b) {
-          const std::size_t qw = std::min(b, j0 - q0);
+      if (j0 > 0) {
+        for (const BlockRange& rb : rbs) {
           linalg::active_kernels().gemm_acc(A.block(rb.off, j0, rb.sz, w),
-                           A.block(rb.off, q0, rb.sz, qw),
-                           A.block(q0, j0, qw, w), -1.0);
+                                            A.block(rb.off, 0, rb.sz, j0),
+                                            u_above(j0), -1.0);
         }
       }
       detail::charge_local_gemm(h, own_rows, w, j0, b1);

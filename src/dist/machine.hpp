@@ -51,6 +51,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -117,7 +118,8 @@ class Machine {
           HwParams hw = HwParams{},
           std::unique_ptr<Backend> backend = nullptr,
           std::unique_ptr<Transport> transport = nullptr)
-      : P_(P), M1_(M1), M2_(M2), M3_(M3), hw_(hw), procs_(P),
+      : P_(P), M1_(M1), M2_(M2), M3_(M3), capacities_{M1, M2, M3}, hw_(hw),
+        procs_(P),
         backend_(backend != nullptr
                      ? std::move(backend)
                      : std::make_unique<SerialSimBackend>()),
@@ -262,7 +264,10 @@ class Machine {
   void run_local_on(const std::vector<std::size_t>& ranks, Fn&& fn) {
     for (std::size_t p : ranks) check_proc(p);
     const Timer t(wall_seconds_, local_timer_depth_);
-    backend_->run(ranks, capacities(), Backend::LocalFn(fn), absorb_sink());
+    // The backend runs fn before returning, so a reference suffices
+    // (and spares a heap copy of the closure on every phase).
+    backend_->run(ranks, capacities(), Backend::LocalFn(std::ref(fn)),
+                  absorb_sink());
   }
 
   /// Wall-clock seconds spent inside local phases so far (numerics +
@@ -352,7 +357,7 @@ class Machine {
     };
   }
 
-  std::vector<std::size_t> capacities() const { return {M1_, M2_, M3_}; }
+  const std::vector<std::size_t>& capacities() const { return capacities_; }
 
   std::vector<std::size_t> all_ranks() const {
     std::vector<std::size_t> r(P_);
@@ -365,6 +370,7 @@ class Machine {
   }
 
   std::size_t P_, M1_, M2_, M3_;
+  std::vector<std::size_t> capacities_;  // {M1, M2, M3}: every phase's shape
   HwParams hw_;
   std::vector<ProcTraffic> procs_;
   std::unique_ptr<Backend> backend_;

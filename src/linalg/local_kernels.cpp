@@ -22,6 +22,50 @@ constexpr std::size_t kSmallGemm = 8192;
 // while everything off-diagonal goes through the blocked GEMM.
 constexpr std::size_t kTriBlock = 64;
 
+// Sub-kSmallGemm C += alpha * A * B on a 2x2 register tile: each
+// C(i, j) stays in a register across the whole ascending-k loop and
+// takes C(i, j) += (alpha * A(i, k)) * B(k, j) -- the same operations
+// in the same order as the reference gemm_acc, so the two are bitwise
+// equal (pinned in tests/local_kernels_test.cpp), while every A and B
+// element loaded feeds two products instead of one.  Odd edges take
+// 2x1, 1x2 and 1x1 tiles.
+template <std::size_t R, std::size_t S>
+void gemm_small_tile(MatrixView<double> C, ConstMatrixView<double> A,
+                     ConstMatrixView<double> B, double alpha, std::size_t i,
+                     std::size_t j) {
+  double c[R][S];
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t t = 0; t < S; ++t) c[r][t] = C(i + r, j + t);
+  }
+  for (std::size_t k = 0; k < A.cols(); ++k) {
+    double a[R], bk[S];
+    for (std::size_t r = 0; r < R; ++r) a[r] = alpha * A(i + r, k);
+    for (std::size_t t = 0; t < S; ++t) bk[t] = B(k, j + t);
+    for (std::size_t r = 0; r < R; ++r) {
+      for (std::size_t t = 0; t < S; ++t) c[r][t] += a[r] * bk[t];
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t t = 0; t < S; ++t) C(i + r, j + t) = c[r][t];
+  }
+}
+
+void gemm_small_acc(MatrixView<double> C, ConstMatrixView<double> A,
+                    ConstMatrixView<double> B, double alpha) {
+  const std::size_t m = C.rows(), n = C.cols();
+  std::size_t i = 0;
+  for (; i + 2 <= m; i += 2) {
+    std::size_t j = 0;
+    for (; j + 2 <= n; j += 2) gemm_small_tile<2, 2>(C, A, B, alpha, i, j);
+    if (j < n) gemm_small_tile<2, 1>(C, A, B, alpha, i, j);
+  }
+  if (i < m) {
+    std::size_t j = 0;
+    for (; j + 2 <= n; j += 2) gemm_small_tile<1, 2>(C, A, B, alpha, i, j);
+    if (j < n) gemm_small_tile<1, 1>(C, A, B, alpha, i, j);
+  }
+}
+
 void gemm_dispatch(MatrixView<double> C, ConstMatrixView<double> A,
                    ConstMatrixView<double> B, double alpha,
                    bool b_transposed) {
@@ -36,7 +80,7 @@ void gemm_dispatch(MatrixView<double> C, ConstMatrixView<double> A,
     if (b_transposed) {
       gemm_acc_bt(C, A, B, alpha);
     } else {
-      gemm_acc(C, A, B, alpha);
+      gemm_small_acc(C, A, B, alpha);
     }
     return;
   }

@@ -30,15 +30,21 @@ void Hierarchy::check_level_pair(std::size_t s, const char* what) const {
   }
 }
 
-void Hierarchy::load(std::size_t s, std::size_t words) {
-  check_level_pair(s, "load");
-  if (capacity_[s] != kUnbounded && occupancy_[s] + words > capacity_[s]) {
-    throw CapacityError("load would exceed capacity of level " +
+void Hierarchy::check_room(std::size_t s, std::size_t words,
+                           const char* what) const {
+  if (capacity_[s] != kUnbounded && words > capacity_[s] - occupancy_[s]) {
+    throw CapacityError(std::string(what) +
+                        " would exceed capacity of level " +
                         std::to_string(s) + " (" +
                         std::to_string(occupancy_[s]) + "+" +
                         std::to_string(words) + " > " +
                         std::to_string(capacity_[s]) + " words)");
   }
+}
+
+void Hierarchy::load(std::size_t s, std::size_t words) {
+  check_level_pair(s, "load");
+  check_room(s, words, "load");
   occupancy_[s] += words;
   down_[s].add(words);
   res_[s].r1_begun += words;
@@ -57,10 +63,7 @@ void Hierarchy::store(std::size_t s, std::size_t words) {
 
 void Hierarchy::alloc(std::size_t s, std::size_t words) {
   if (s >= capacity_.size()) throw std::out_of_range("alloc: bad level");
-  if (capacity_[s] != kUnbounded && occupancy_[s] + words > capacity_[s]) {
-    throw CapacityError("alloc would exceed capacity of level " +
-                        std::to_string(s));
-  }
+  check_room(s, words, "alloc");
   occupancy_[s] += words;
   allocs_[s] += words;
   res_[s].r2_begun += words;
@@ -74,6 +77,30 @@ void Hierarchy::discard(std::size_t s, std::size_t words) {
   }
   occupancy_[s] -= words;
   res_[s].d2_ended += words;
+}
+
+void Hierarchy::burst(std::size_t s, const Burst& b) {
+  if (s >= capacity_.size()) throw std::out_of_range("burst: bad level");
+  if (b.load.words + b.load.messages + b.store.words + b.store.messages > 0) {
+    check_level_pair(s, "burst");
+  }
+  check_room(s, b.peak, "burst");
+  const std::uint64_t begun = occupancy_[s] + b.load.words + b.alloc;
+  const std::uint64_t ended = b.store.words + b.discard;
+  if (ended > begun) {
+    throw std::logic_error("burst ends more words than resident at level " +
+                           std::to_string(s));
+  }
+  occupancy_[s] = begun - ended;
+  down_[s].words += b.load.words;
+  down_[s].messages += b.load.messages;
+  up_[s].words += b.store.words;
+  up_[s].messages += b.store.messages;
+  allocs_[s] += b.alloc;
+  res_[s].r1_begun += b.load.words;
+  res_[s].r2_begun += b.alloc;
+  res_[s].d1_ended += b.store.words;
+  res_[s].d2_ended += b.discard;
 }
 
 std::uint64_t Hierarchy::writes_to(std::size_t s) const {

@@ -43,6 +43,20 @@ struct ResidencyCounters {
   std::uint64_t d2_ended = 0;  ///< words whose residency ended discarded
 };
 
+/// The net effect of a run of load/store/alloc/discard calls at one
+/// level, charged in one step by Hierarchy::burst.  A closed-form
+/// charger fills it from the shape of its loop instead of replaying
+/// the loop call by call.
+struct Burst {
+  /// Most words the run holds resident at once above the occupancy it
+  /// starts from (the capacity check of every step of the run).
+  std::size_t peak = 0;
+  ChannelCounters load;        ///< loads into the level (R1 begun)
+  ChannelCounters store;       ///< stores out of the level (D1 ended)
+  std::uint64_t alloc = 0;     ///< words allocated in place (R2 begun)
+  std::uint64_t discard = 0;   ///< words discarded (D2 ended)
+};
+
 /// Exception thrown when a level's capacity would be exceeded.
 class CapacityError : public std::runtime_error {
  public:
@@ -77,6 +91,16 @@ class Hierarchy {
 
   /// End a D2 residency: forget @p words at level s without traffic.
   void discard(std::size_t s, std::size_t words);
+
+  /// Charge a whole run of load/store/alloc/discard calls at level s
+  /// in O(1).  Every counter (channel words and messages, in-place
+  /// allocations, residency classes, occupancy) ends exactly where the
+  /// call-by-call run would leave it.  The caller vouches that the run
+  /// never ends more residencies than it has begun at any step; the
+  /// burst checks capacity once, against occupancy + b.peak, and
+  /// throws CapacityError (or out_of_range / logic_error for a bad
+  /// level or a net underflow) before touching any counter.
+  void burst(std::size_t s, const Burst& b);
 
   /// Record @p n arithmetic operations (no memory traffic).
   void flops(std::uint64_t n) { flops_ += n; }
@@ -119,6 +143,8 @@ class Hierarchy {
 
  private:
   void check_level_pair(std::size_t s, const char* what) const;
+  // Throws CapacityError when @p words more would not fit at level s.
+  void check_room(std::size_t s, std::size_t words, const char* what) const;
 
   std::vector<std::size_t> capacity_;
   std::vector<std::size_t> occupancy_;

@@ -87,6 +87,29 @@ TEST(ProcessGrid2d, BalancedBlockRejectsZeroParts) {
   EXPECT_EQ(balanced_block(10, 1, 0).sz, 10u);
 }
 
+TEST(ProcessGrid2d, CyclicWordsClosedFormMatchesBlockSum) {
+  // cyclic_words is O(1); the block list it used to sum is the oracle.
+  // lo sweeps past n and through the middle of blocks; owner == parts
+  // owns nothing.
+  for (std::size_t n = 0; n <= 41; ++n) {
+    for (std::size_t b = 1; b <= 6; ++b) {
+      for (std::size_t parts = 1; parts <= 4; ++parts) {
+        for (std::size_t owner = 0; owner <= parts; ++owner) {
+          for (std::size_t lo = 0; lo <= n + 3; ++lo) {
+            std::size_t want = 0;
+            for (const BlockRange& r : cyclic_blocks(n, b, parts, owner, lo)) {
+              want += r.sz;
+            }
+            ASSERT_EQ(cyclic_words(n, b, parts, owner, lo), want)
+                << "n=" << n << " b=" << b << " parts=" << parts
+                << " owner=" << owner << " lo=" << lo;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(ProcessGrid2d, CyclicBlocksDealRoundRobinAndClip) {
   // 26 items in 4-wide blocks over 2 owners: owner 0 gets blocks
   // {0, 2, 4, 6} = [0,4) [8,12) [16,20) [24,26), owner 1 the rest.
@@ -110,6 +133,8 @@ TEST(ProcessGrid2d, CyclicBlocksDealRoundRobinAndClip) {
   }
   EXPECT_THROW(cyclic_blocks(10, 0, 2, 0), std::invalid_argument);
   EXPECT_THROW(cyclic_blocks(10, 2, 0, 0), std::invalid_argument);
+  EXPECT_THROW(cyclic_words(10, 0, 2, 0), std::invalid_argument);
+  EXPECT_THROW(cyclic_words(10, 2, 0, 0), std::invalid_argument);
   // ProcessGrid exposes the same dealing per grid dimension.
   ProcessGrid g(2, 3);
   EXPECT_EQ(g.cyclic_row_owner(5), 1u);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
@@ -245,6 +246,60 @@ TEST(CalibrateTest, DegenerateFitFallsBackToBandwidth) {
   EXPECT_DOUBLE_EQ(fit.alpha, 0.0);
   EXPECT_NEAR(fit.beta, 2e-9, 1e-15);
   EXPECT_TRUE(fit_alpha_beta({}).alpha == 0.0 && fit_alpha_beta({}).beta == 0.0);
+}
+
+TEST(CalibrateTest, NegativeAlphaRefitsBetaOnTheBoundary) {
+  // Large messages cost less than their words alone predict, so the
+  // unconstrained least-squares latency comes out negative.
+  const std::vector<CommSample> samples = {{1.0, 100.0, 4e-7},
+                                           {2.0, 1000.0, 2e-6},
+                                           {8.0, 2000.0, 3e-6}};
+  double mm = 0, mw = 0, ww = 0, ms = 0, ws = 0;
+  for (const CommSample& c : samples) {
+    mm += c.messages * c.messages;
+    mw += c.messages * c.words;
+    ww += c.words * c.words;
+    ms += c.messages * c.seconds;
+    ws += c.words * c.seconds;
+  }
+  ASSERT_LT(ms * ww - ws * mw, 0.0);  // unconstrained alpha < 0
+
+  const AlphaBeta fit = fit_alpha_beta(samples);
+  EXPECT_TRUE(fit.degenerate);
+  EXPECT_EQ(fit.alpha, 0.0);
+  // The least-squares beta with alpha pinned at zero, not the joint
+  // fit's beta with alpha merely clamped.
+  EXPECT_DOUBLE_EQ(fit.beta, ws / ww);
+  double rss = 0.0;
+  for (const CommSample& c : samples) {
+    const double r = c.seconds - fit.beta * c.words;
+    rss += r * r;
+  }
+  EXPECT_DOUBLE_EQ(fit.residual, std::sqrt(rss / 3.0));
+  // Any other beta on the boundary fits worse.
+  for (const double scale : {0.99, 1.01}) {
+    double worse = 0.0;
+    for (const CommSample& c : samples) {
+      const double r = c.seconds - scale * fit.beta * c.words;
+      worse += r * r;
+    }
+    EXPECT_GT(worse, rss);
+  }
+  // The fitted HwParams keep the default latency for the unmeasured
+  // coefficient and take the refit bandwidth.
+  const HwParams hw = fitted_hw(fit, 0.0, 0.0);
+  EXPECT_DOUBLE_EQ(hw.alpha_nw, HwParams{}.alpha_nw);
+  EXPECT_DOUBLE_EQ(hw.beta_nw, ws / ww);
+
+  // Well-posed samples are not flagged; proportional ones are.
+  std::vector<CommSample> exact;
+  for (double msgs : {4.0, 16.0, 64.0}) {
+    const double words = 1000.0 * msgs + 500.0;
+    exact.push_back({msgs, words, 3e-6 * msgs + 2.5e-9 * words});
+  }
+  EXPECT_FALSE(fit_alpha_beta(exact).degenerate);
+  EXPECT_TRUE(fit_alpha_beta({{1.0, 100.0, 2e-7}, {2.0, 200.0, 4e-7}})
+                  .degenerate);
 }
 
 TEST(CalibrateTest, FittedHwReplacesMeasuredChannels) {

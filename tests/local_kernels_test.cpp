@@ -108,6 +108,44 @@ TEST(LocalKernels, GemmParityOnStridedSubViews) {
   }
 }
 
+TEST(LocalKernels, SmallGemmBitwiseEqualsReference) {
+  // Below the blocked engine's cutoff (m*n*k < 8192) the blocked table
+  // runs a 2x2 register tile that keeps each C(i, j) in a register over
+  // ascending k: the reference rounding chain, so memcmp-equal to
+  // linalg::gemm_acc -- ragged and odd edges, strided views, k = 0.
+  const struct {
+    std::size_t m, n, k;
+  } shapes[] = {{1, 1, 1},  {2, 2, 2},   {3, 5, 7},  {5, 3, 0},
+                {2, 2, 382}, {7, 9, 64}, {1, 17, 31}, {16, 16, 31},
+                {19, 21, 20}, {0, 3, 4}, {3, 0, 4},  {2, 62, 64}};
+  for (const auto& sh : shapes) {
+    ASSERT_LT(sh.m * sh.n * sh.k, 8192u);
+    for (const double alpha : {1.0, -1.0, 0.37}) {
+      for (const bool strided : {false, true}) {
+        // Strided: every operand is an interior block of a larger
+        // matrix, and the frame around C must survive bit for bit.
+        const std::size_t pad = strided ? 3 : 0;
+        linalg::Matrix<double> a(sh.m + pad, sh.k + 2 * pad);
+        linalg::Matrix<double> b(sh.k + pad, sh.n + 2 * pad);
+        linalg::Matrix<double> c0(sh.m + 2 * pad, sh.n + pad);
+        linalg::fill_random(a, 21);
+        linalg::fill_random(b, 22);
+        linalg::fill_random(c0, 23);
+        linalg::Matrix<double> c1 = c0;
+        const auto av = a.view().block(pad, pad, sh.m, sh.k);
+        const auto bv = b.view().block(pad, pad, sh.k, sh.n);
+        linalg::gemm_acc(c0.view().block(pad, pad, sh.m, sh.n), av, bv, alpha);
+        linalg::blocked_kernels().gemm_acc(
+            c1.view().block(pad, pad, sh.m, sh.n), av, bv, alpha);
+        EXPECT_EQ(0, std::memcmp(c0.data(), c1.data(),
+                                 c0.size() * sizeof(double)))
+            << sh.m << "x" << sh.n << "x" << sh.k << " alpha=" << alpha
+            << " strided=" << strided;
+      }
+    }
+  }
+}
+
 TEST(LocalKernels, TrsmParityAllVariants) {
   for (const std::size_t n : {8u, 64u, 100u, 192u}) {
     const std::size_t nrhs = n / 2 + 3;
@@ -363,6 +401,29 @@ TEST(LocalKernels, LuCountersInvariantUnderKernelChoice) {
                              left ? "lu_left_looking" : "lu_right_looking");
     EXPECT_LT(linalg::max_abs_diff(a_naive, a_blocked), 1e-8);
   }
+}
+
+TEST(LocalKernels, LeftLookingLuPanelTwoBitwiseAcrossKernels) {
+  // At b = 2 every LL product -- one fused gemm over all prior panels
+  // per owned 2-row block, at most 2 x 2 x 94 -- stays under the
+  // blocked engine's cutoff, every triangle under kTriBlock, so the
+  // whole factorization is bitwise-identical under kNaive and kBlocked.
+  const std::size_t n = 96, P = 4;
+  const auto a0 = linalg::random_spd(n, 24);
+  linalg::Matrix<double> a_naive = a0, a_blocked = a0;
+  dist::Machine m_naive = make_machine(P);
+  dist::Machine m_blocked = make_machine(P);
+  {
+    KernelGuard g(linalg::KernelImpl::kNaive);
+    dist::lu_left_looking(m_naive, a_naive.view(), 2, 2);
+  }
+  {
+    KernelGuard g(linalg::KernelImpl::kBlocked);
+    dist::lu_left_looking(m_blocked, a_blocked.view(), 2, 2);
+  }
+  expect_traffic_identical(m_naive, m_blocked, "lu_left_looking b=2");
+  EXPECT_EQ(0, std::memcmp(a_naive.data(), a_blocked.data(),
+                           a_naive.size() * sizeof(double)));
 }
 
 TEST(LocalKernels, CaCgCountersInvariantUnderKernelChoice) {
