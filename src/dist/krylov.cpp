@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "dist/detail.hpp"
@@ -138,12 +139,10 @@ struct PartRun {
   std::vector<std::vector<std::pair<std::size_t, std::size_t>>> runs;
   std::vector<std::size_t> own_sz;
   std::vector<std::size_t> own_nnz;  // A-words of the owned rows
-  std::vector<double> partial;
 
   PartRun(Machine& mm, const sparse::Csr& a, const Partition& pt)
       : m(mm), A(a), part(pt), gp(pt.graph()), P(pt.ranks()),
-        group(pt.group()), own(P), runs(P), own_sz(P), own_nnz(P),
-        partial(P, 0.0) {
+        group(pt.group()), own(P), runs(P), own_sz(P), own_nnz(P) {
     if (pt.ranks() != mm.nprocs()) {
       throw std::invalid_argument(
           "dist: partition rank count differs from the machine's P");
@@ -200,13 +199,18 @@ struct PartRun {
     m.bcast(group, words, payload);
   }
 
-  /// Combine the per-rank partials and charge a one-word allreduce
-  /// that carries the combined scalar.
-  double allreduce(const std::vector<double>& part_sums) {
-    double sum = 0.0;
-    for (std::size_t p = 0; p < P; ++p) sum += part_sums[p];
-    allreduce_charge(1, &sum);
-    return sum;
+  /// Combine rank partials in rank order -- @p partials[k][q] is rank
+  /// q's share of scalar k -- for each k in @p which, and charge one
+  /// allreduce event that carries the combined values.
+  std::vector<double> allreduce(
+      const std::vector<std::vector<double>>& partials,
+      const std::vector<std::size_t>& which) {
+    std::vector<double> sums(which.size(), 0.0);
+    for (std::size_t k = 0; k < which.size(); ++k) {
+      for (std::size_t q = 0; q < P; ++q) sums[k] += partials[which[k]][q];
+    }
+    allreduce_charge(sums.size(), sums.data());
+    return sums;
   }
 };
 
@@ -218,24 +222,20 @@ struct PartRun {
 /// every computed row) the caller charges as slow reads.  One
 /// definition serves the stored phase and both streaming passes, so
 /// their arithmetic -- and the bitwise pins built on it -- cannot
-/// drift apart.  With @p reuse the caller's buffers are recycled
-/// (never read before being written: heads cover the whole extent,
-/// and Gram/recovery only read owned nodes, valid in every column).
+/// drift apart.  The caller's buffers are recycled across outer
+/// iterations and streaming chunks (never read before being written:
+/// heads cover the whole extent, and Gram/recovery only read owned
+/// nodes, valid in every column).
 std::uint64_t build_basis_box(const sparse::Csr& A, const Partition& part,
                               const kd::BasisCoeffs& bc, std::size_t s,
                               const std::vector<double>& p,
                               const std::vector<double>& r,
                               const NodeBox& ebox,
-                              std::vector<std::vector<double>>& W,
-                              bool reuse) {
+                              std::vector<std::vector<double>>& W) {
   const std::size_t mm = 2 * s + 1;
   const std::size_t len = ebox.volume();
-  if (reuse) {
-    W.resize(mm);
-    for (auto& col : W) col.resize(len);
-  } else {
-    W.assign(mm, std::vector<double>(len, 0.0));
-  }
+  W.resize(mm);
+  for (auto& col : W) col.resize(len);
   for_each_run_local(part, ebox, ebox,
                      [&](std::size_t glo, std::size_t ghi, std::size_t lb) {
                        for (std::size_t i = glo; i < ghi; ++i) {
@@ -465,16 +465,11 @@ std::uint64_t build_basis_graph(const GraphChunk& ck,
                                 const kd::BasisCoeffs& bc, std::size_t s,
                                 const std::vector<double>& p,
                                 const std::vector<double>& r,
-                                std::vector<std::vector<double>>& W,
-                                bool reuse) {
+                                std::vector<std::vector<double>>& W) {
   const std::size_t mm = 2 * s + 1;
   const std::size_t len = ck.ext.size();
-  if (reuse) {
-    W.resize(mm);
-    for (auto& col : W) col.resize(len);
-  } else {
-    W.assign(mm, std::vector<double>(len, 0.0));
-  }
+  W.resize(mm);
+  for (auto& col : W) col.resize(len);
   for (std::size_t li = 0; li < len; ++li) {
     W[0][li] = p[ck.ext[li]];
     W[s + 1][li] = r[ck.ext[li]];
@@ -541,131 +536,6 @@ void graph_recover(const GraphChunk& ck, std::size_t mm,
   }
 }
 
-/// Shared solve setup: ghost exchange of x, per-rank r = b - A x and
-/// p = r (charged at the shared-memory rates), delta = <r, r> via
-/// allreduce, and <b, b> for the stopping threshold (rank-ordered but
-/// uncharged reads, matching the shared-memory solvers).
-struct SetupResult {
-  double delta;
-  double bb;
-};
-
-SetupResult residual_setup(PartRun& rp,
-                           const std::vector<HaloTransfer>& halo1,
-                           const std::vector<std::size_t>& recv1,
-                           std::span<const double> b, std::span<double> x,
-                           std::vector<double>& r, std::vector<double>& p,
-                           std::vector<double>& w) {
-  Machine& m = rp.m;
-  const sparse::Csr& A = rp.A;
-
-  rp.exchange(halo1, 1);
-  m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-    rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        w[i] = kd::row_dot(A, i, x.data(), 0);
-      }
-    });
-    rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        r[i] = b[i] - w[i];
-        p[i] = r[i];
-      }
-    });
-    detail::charge_l2_transit(h, recv1[rank], m.M2(), 0);
-    detail::charge_l3_read(h, rp.own_nnz[rank] + 3 * rp.own_sz[rank],
-                           m.M2());
-    detail::charge_l3_write(h, 2 * rp.own_sz[rank], m.M2());
-  });
-
-  m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-    double sum = 0.0;
-    rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) sum += r[i] * r[i];
-    });
-    rp.partial[rank] = sum;
-    detail::charge_l3_read(h, 2 * rp.own_sz[rank], m.M2());
-  });
-  const double delta = rp.allreduce(rp.partial);
-
-  double bb = 0.0;
-  for (std::size_t q = 0; q < rp.P; ++q) {
-    double sum = 0.0;
-    rp.for_runs(q, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) sum += b[i] * b[i];
-    });
-    bb += sum;
-  }
-  rp.allreduce_charge(1, &bb);
-  return {delta, bb};
-}
-
-/// One classical CG step on the partition, charged at the classical
-/// per-step rates (reads A + O(n)/P, writes 4n/P per rank).
-/// @p check_den mirrors the caller: krylov::cg runs the division
-/// unconditionally, the CA-CG restart fallback bails on breakdown.
-struct StepResult {
-  double delta;
-  bool breakdown;
-};
-
-StepResult cg_step(PartRun& rp, const std::vector<HaloTransfer>& halo1,
-                   const std::vector<std::size_t>& recv1,
-                   std::span<double> x, std::vector<double>& r,
-                   std::vector<double>& p, std::vector<double>& w,
-                   double delta, bool check_den) {
-  Machine& m = rp.m;
-  const sparse::Csr& A = rp.A;
-
-  rp.exchange(halo1, 1);  // p ghosts for the spmv
-  m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-    double sum = 0.0;
-    rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        w[i] = kd::row_dot(A, i, p.data(), 0);
-      }
-    });
-    rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) sum += p[i] * w[i];
-    });
-    rp.partial[rank] = sum;
-    detail::charge_l2_transit(h, recv1[rank], m.M2(), 0);
-    detail::charge_l3_read(h, rp.own_nnz[rank] + 3 * rp.own_sz[rank],
-                           m.M2());
-    detail::charge_l3_write(h, rp.own_sz[rank], m.M2());  // w
-  });
-  const double den = rp.allreduce(rp.partial);
-  if (check_den && (den <= 0 || !std::isfinite(den))) {
-    return {delta, true};
-  }
-  const double alpha = delta / den;
-
-  m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-    double sum = 0.0;
-    rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) x[i] += alpha * p[i];
-      for (std::size_t i = lo; i < hi; ++i) r[i] -= alpha * w[i];
-      for (std::size_t i = lo; i < hi; ++i) sum += r[i] * r[i];
-    });
-    rp.partial[rank] = sum;
-    detail::charge_l3_read(h, 6 * rp.own_sz[rank], m.M2());
-    detail::charge_l3_write(h, 2 * rp.own_sz[rank], m.M2());  // x, r
-  });
-  const double delta_new = rp.allreduce(rp.partial);
-  const double beta = delta_new / delta;
-
-  m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-    rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        p[i] = r[i] + beta * p[i];
-      }
-    });
-    detail::charge_l3_read(h, 2 * rp.own_sz[rank], m.M2());
-    detail::charge_l3_write(h, rp.own_sz[rank], m.M2());  // p
-  });
-  return {delta_new, false};
-}
-
 /// Uncharged diagnostic shared with the shared-memory solvers: the
 /// true residual of the final iterate, computed globally.
 double true_residual(const sparse::Csr& A, std::span<const double> b,
@@ -680,388 +550,18 @@ double true_residual(const sparse::Csr& A, std::span<const double> b,
   return std::sqrt(rn);
 }
 
-}  // namespace
-
-KrylovResult cg(Machine& m, const Partition& part, const sparse::Csr& A,
-                std::span<const double> b, std::span<double> x,
-                std::size_t max_iters, double tol) {
-  const std::size_t n = A.n;
-  if (b.size() != n || x.size() != n) {
-    throw std::invalid_argument("dist::cg: size mismatch");
-  }
-  PartRun rp(m, A, part);
-  const auto halo1 = part.halo(part.radius());
-  const auto recv1 = recv_rows(halo1, rp.P);
-
-  KrylovResult out;
-  std::vector<double> r(n), p(n), w(n);
-
-  const SetupResult init = residual_setup(rp, halo1, recv1, b, x, r, p, w);
-  double delta = init.delta;
-  const double stop = tol * tol * init.bb;
-
-  for (std::size_t it = 0; it < max_iters; ++it) {
-    if (delta <= stop) {
-      out.converged = true;
-      break;
-    }
-    delta = cg_step(rp, halo1, recv1, x, r, p, w, delta,
-                    /*check_den=*/false)
-                .delta;
-    ++out.iterations;
-  }
-
-  out.residual_norm = true_residual(A, b, x);
-  if (!out.converged) {
-    out.converged = out.residual_norm <= tol * sparse::norm2(b);
-  }
-  return out;
-}
-
-KrylovResult ca_cg(Machine& m, const Partition& part, const sparse::Csr& A,
-                   std::span<const double> b, std::span<double> x,
-                   const CaCgOptions& opt, const KrylovExec& exec) {
-  const std::size_t n = A.n;
-  const std::size_t s = opt.s;
-  if (s == 0) throw std::invalid_argument("dist::ca_cg: s >= 1");
-  if (b.size() != n || x.size() != n) {
-    throw std::invalid_argument("dist::ca_cg: size mismatch");
-  }
-  const std::size_t mm = 2 * s + 1;
-  const kd::BasisCoeffs bc =
-      kd::make_basis(A, s, opt.basis == CaCgBasis::kNewton);
-
-  PartRun rp(m, A, part);
-  const std::size_t P = rp.P;
-  const std::size_t ext = s * part.radius();
-  std::size_t block_rows = opt.block_rows;
-  if (block_rows == 0) {
-    block_rows = std::max<std::size_t>(4 * s * part.radius(), 256);
-  }
-  const auto halo1 = part.halo(part.radius());
-  const auto recv1 = recv_rows(halo1, P);
-  const auto halo_s = part.halo(ext);
-  const auto recv_s = recv_rows(halo_s, P);
-
-  KrylovResult out;
-  std::vector<double> r(n), p(n), w(n);
-
-  const SetupResult init = residual_setup(rp, halo1, recv1, b, x, r, p, w);
-  double delta = init.delta;
-  const double stop = opt.tol * opt.tol * init.bb;
-
-  std::size_t restarts = 0;
-  constexpr std::size_t kMaxRestarts = 25;
-
-  std::vector<double> x_snap(n), p_snap(n), r_snap(n);
-  std::vector<double> pn(n), rn(n);  // streaming recovery targets
-
-  // Per-rank scratch living across the basis and recovery phases of
-  // one outer iteration (and, with exec.reuse_scratch, across outer
-  // iterations and streaming blocks): the rank's extended basis and
-  // its Gram partial.  Indexed by rank, so concurrent phases touch
-  // disjoint slots.
-  std::vector<std::vector<std::vector<double>>> Vloc(P);
-  std::vector<kd::Small> gpart(P, kd::Small(mm));
-
-  // Sparsity-derived basis plans, built once per solve (the closure
-  // and level sets depend only on the pattern and s).
-  std::vector<std::vector<GraphChunk>> gplan;
-  if (rp.gp != nullptr) {
-    gplan = make_graph_plan(A, *rp.gp, s, opt.mode, block_rows);
-  }
-
-  for (std::size_t outer = 0; outer < opt.max_outer; ++outer) {
-    if (delta <= stop) {
-      out.converged = true;
-      break;
-    }
-    const double delta_enter = delta;
-    x_snap.assign(x.begin(), x.end());
-    p_snap = p;
-    r_snap = r;
-
-    kd::Small G(mm);
-    for (kd::Small& gp : gpart) std::fill(gp.a.begin(), gp.a.end(), 0.0);
-
-    // One ghost exchange of depth s*radius covers every basis column
-    // of the outer iteration (the matrix-powers optimization).
-    rp.exchange(halo_s, 2);  // p and r travel together
-
-    if (opt.mode == CaCgMode::kStored) {
-      // ---- basis + Gram phase: each rank materializes all 2s+1
-      // columns of its own nodes (redundantly extending into the
-      // ghost region), writing each finished own-node column to slow
-      // memory once, then accumulates its Gram partial.
-      m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-        auto& W = Vloc[rank];
-        if (rp.own_sz[rank] == 0) {
-          W.clear();
-          return;
-        }
-        if (rp.gp != nullptr) {
-          // Same charge shapes as the box body below; only the basis
-          // extent and Gram ranges come from the sparsity plan.
-          const std::size_t osz = rp.own_sz[rank];
-          const GraphChunk& ck = gplan[rank][0];
-          const std::uint64_t a_words =
-              build_basis_graph(ck, bc, s, p, r, W, exec.reuse_scratch);
-          detail::charge_l2_transit(h, 2 * recv_s[rank], m.M2(), 0);
-          detail::charge_l3_read(h, 2 * osz, m.M2());
-          detail::charge_l3_write(h, 2 * osz, m.M2());  // basis heads
-          detail::charge_l3_read(h, a_words, m.M2());
-          detail::charge_l3_write(h, (2 * s - 1) * osz, m.M2());
-          graph_gram(ck, gpart[rank], mm, W);
-          detail::charge_l3_read(h, mm * osz, m.M2());  // basis re-read
-          return;
-        }
-        const NodeBox& o = rp.own[rank];
-        const std::size_t osz = rp.own_sz[rank];
-        const NodeBox ebox = part.extended(rank, ext);
-        const std::uint64_t a_words =
-            build_basis_box(A, part, bc, s, p, r, ebox, W,
-                            exec.reuse_scratch);
-        detail::charge_l2_transit(h, 2 * recv_s[rank], m.M2(), 0);
-        detail::charge_l3_read(h, 2 * osz, m.M2());
-        detail::charge_l3_write(h, 2 * osz, m.M2());  // basis heads
-        detail::charge_l3_read(h, a_words, m.M2());
-        // Every non-head column of the rank's own nodes hits slow
-        // memory once -- the Theta(n) stored-basis write stream.
-        detail::charge_l3_write(h, (2 * s - 1) * osz, m.M2());
-
-        kd::Small& gp = gpart[rank];
-        std::vector<const double*> wp(mm);
-        for (std::size_t a = 0; a < mm; ++a) wp[a] = W[a].data();
-        for_each_run_local(
-            part, o, ebox,
-            [&](std::size_t glo, std::size_t ghi, std::size_t lb) {
-              linalg::active_kernels().gram_upper_acc(
-                  gp.a.data(), mm, wp.data(), lb, lb + (ghi - glo));
-            });
-        detail::charge_l3_read(h, mm * osz, m.M2());  // basis re-read
-      });
-    } else {
-      // ---- streaming pass 1: blockwise basis + Gram accumulation;
-      // basis blocks live in fast buffers and are discarded, so this
-      // pass writes nothing to slow memory.
-      m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-        if (rp.own_sz[rank] == 0) return;
-        detail::charge_l2_transit(h, 2 * recv_s[rank], m.M2(), 0);
-        kd::Small& gp = gpart[rank];
-        auto& W = Vloc[rank];
-        if (rp.gp != nullptr) {
-          for (const GraphChunk& ck : gplan[rank]) {
-            const std::uint64_t a_words =
-                build_basis_graph(ck, bc, s, p, r, W, exec.reuse_scratch);
-            detail::charge_l3_read(h, 2 * ck.overlap, m.M2());
-            detail::charge_l3_read(h, a_words, m.M2());
-            graph_gram(ck, gp, mm, W);
-          }
-          return;
-        }
-        const NodeBox& o = rp.own[rank];
-        for (const NodeBox& c : stream_chunks(part, o, block_rows)) {
-          const NodeBox ebox = dilate_clipped(part, c, ext);
-          const std::uint64_t a_words =
-              build_basis_box(A, part, bc, s, p, r, ebox, W,
-                              exec.reuse_scratch);
-          // Slow-memory reads: the extent's overlap with the rank's
-          // own nodes (adjacent own blocks re-read the overlap -- the
-          // <= 2x read amplification); ghost nodes arrived by network.
-          detail::charge_l3_read(h, 2 * box_overlap(ebox, o), m.M2());
-          detail::charge_l3_read(h, a_words, m.M2());
-
-          std::vector<const double*> wp(mm);
-          for (std::size_t a = 0; a < mm; ++a) wp[a] = W[a].data();
-          for_each_run_local(
-              part, c, ebox,
-              [&](std::size_t glo, std::size_t ghi, std::size_t lb) {
-                linalg::active_kernels().gram_upper_acc(
-                    gp.a.data(), mm, wp.data(), lb, lb + (ghi - glo));
-              });
-        }
-      });
-    }
-
-    // Allreduce of the Gram partials: combined in rank order, charged
-    // as reduce + bcast of the upper triangle.
-    for (std::size_t q = 0; q < P; ++q) {
-      for (std::size_t a = 0; a < mm; ++a) {
-        for (std::size_t c = a; c < mm; ++c) G(a, c) += gpart[q](a, c);
-      }
-    }
-    linalg::gram_mirror(G.a.data(), mm);
-    // The combined Gram matrix is in hand; its packed triangle rides
-    // the charged allreduce as the real payload.
-    rp.allreduce_charge(mm * (mm + 1) / 2, G.a.data());
-
-    // ---- inner s steps in coordinates: O(s^2) data, replicated on
-    // every rank (fast memory only, so nothing is charged).
-    std::vector<double> xh(mm, 0.0), ph(mm, 0.0), rh(mm, 0.0);
-    ph[0] = 1.0;
-    rh[s + 1] = 1.0;
-    krylov::Traffic fast;  // inner-step flops; no slow channel to charge
-    const auto inner = kd::inner_steps(s, bc, G, xh, ph, rh, delta, fast);
-    if (inner.breakdown) break;
-    out.iterations += s;
-
-    // ---- recovery: [p, r, x] = [P, R] [ph, rh, xh] + [0, 0, x].
-    if (opt.mode == CaCgMode::kStored) {
-      m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-        if (rp.own_sz[rank] == 0) return;
-        const std::size_t osz = rp.own_sz[rank];
-        if (rp.gp != nullptr) {
-          graph_recover(gplan[rank][0], mm, Vloc[rank], ph, rh, xh, x, p,
-                        r);
-          detail::charge_l3_read(h, mm * osz + osz, m.M2());
-          detail::charge_l3_write(h, 3 * osz, m.M2());
-          return;
-        }
-        const NodeBox& o = rp.own[rank];
-        const NodeBox ebox = part.extended(rank, ext);
-        const auto& W = Vloc[rank];
-        for_each_run_local(
-            part, o, ebox,
-            [&](std::size_t glo, std::size_t ghi, std::size_t lb) {
-              for (std::size_t i = glo; i < ghi; ++i) {
-                const std::size_t li = lb + i - glo;
-                double np = 0, nr = 0, nx2 = x[i];
-                for (std::size_t a = 0; a < mm; ++a) {
-                  np += W[a][li] * ph[a];
-                  nr += W[a][li] * rh[a];
-                  nx2 += W[a][li] * xh[a];
-                }
-                p[i] = np;
-                r[i] = nr;
-                x[i] = nx2;
-              }
-            });
-        detail::charge_l3_read(h, mm * osz + osz, m.M2());
-        detail::charge_l3_write(h, 3 * osz, m.M2());
-      });
-    } else {
-      // ---- streaming pass 2: recompute the basis blockwise and fuse
-      // the recovery (the <= 2x flop doubling the paper trades for
-      // the Theta(s) write reduction); only x, p, r are written.
-      m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-        if (rp.own_sz[rank] == 0) return;
-        auto& W = Vloc[rank];
-        if (rp.gp != nullptr) {
-          for (const GraphChunk& ck : gplan[rank]) {
-            const std::uint64_t a_words =
-                build_basis_graph(ck, bc, s, p, r, W, exec.reuse_scratch);
-            detail::charge_l3_read(h, 2 * ck.overlap, m.M2());
-            detail::charge_l3_read(h, a_words, m.M2());
-            graph_recover(ck, mm, W, ph, rh, xh, x, pn, rn);
-            detail::charge_l3_read(h, ck.tsz, m.M2());       // x
-            detail::charge_l3_write(h, 3 * ck.tsz, m.M2());  // x, p, r
-          }
-          return;
-        }
-        const NodeBox& o = rp.own[rank];
-        for (const NodeBox& c : stream_chunks(part, o, block_rows)) {
-          const NodeBox ebox = dilate_clipped(part, c, ext);
-          const std::uint64_t a_words =
-              build_basis_box(A, part, bc, s, p, r, ebox, W,
-                              exec.reuse_scratch);
-          detail::charge_l3_read(h, 2 * box_overlap(ebox, o), m.M2());
-          detail::charge_l3_read(h, a_words, m.M2());
-
-          for_each_run_local(
-              part, c, ebox,
-              [&](std::size_t glo, std::size_t ghi, std::size_t lb) {
-                for (std::size_t i = glo; i < ghi; ++i) {
-                  const std::size_t li = lb + i - glo;
-                  double np = 0, nr = 0, nx2 = x[i];
-                  for (std::size_t a = 0; a < mm; ++a) {
-                    np += W[a][li] * ph[a];
-                    nr += W[a][li] * rh[a];
-                    nx2 += W[a][li] * xh[a];
-                  }
-                  pn[i] = np;
-                  rn[i] = nr;
-                  x[i] = nx2;
-                }
-              });
-          const std::size_t csz = c.volume();
-          detail::charge_l3_read(h, csz, m.M2());       // x
-          detail::charge_l3_write(h, 3 * csz, m.M2());  // x, p, r
-        }
-      });
-      p.swap(pn);
-      r.swap(rn);
-    }
-
-    // Recompute delta from the *recovered* residual; a large
-    // disagreement with the coordinate-space value flags breakdown.
-    m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-      double sum = 0.0;
-      rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) sum += r[i] * r[i];
-      });
-      rp.partial[rank] = sum;
-      detail::charge_l3_read(h, 2 * rp.own_sz[rank], m.M2());
-    });
-    const double delta_true = rp.allreduce(rp.partial);
-
-    if (!std::isfinite(delta_true) || delta_true > 16.0 * delta_enter) {
-      // Basis breakdown: roll back this outer iteration (simulation
-      // bookkeeping, uncharged -- as in the shared-memory solver) and
-      // take the same s steps with distributed classical CG instead.
-      if (++restarts > kMaxRestarts) break;
-      out.iterations -= s;
-      std::copy(x_snap.begin(), x_snap.end(), x.begin());
-      for (std::size_t i = 0; i < n; ++i) {
-        p[i] = p_snap[i];
-        r[i] = r_snap[i];
-      }
-      delta = delta_enter;
-      for (std::size_t j = 0; j < s && delta > stop; ++j) {
-        const StepResult step = cg_step(rp, halo1, recv1, x, r, p, w,
-                                        delta, /*check_den=*/true);
-        if (step.breakdown) break;
-        delta = step.delta;
-        ++out.iterations;
-      }
-      continue;
-    }
-    delta = delta_true;
-  }
-
-  out.residual_norm = true_residual(A, b, x);
-  if (!out.converged) {
-    out.converged = out.residual_norm <= opt.tol * sparse::norm2(b) * 10.0;
-  }
-  return out;
-}
-
-KrylovResult cg(Machine& m, const sparse::Csr& A, std::span<const double> b,
-                std::span<double> x, std::size_t max_iters, double tol) {
-  const auto part = make_partition(m.nprocs(), A);
-  return cg(m, *part, A, b, x, max_iters, tol);
-}
-
-KrylovResult ca_cg(Machine& m, const sparse::Csr& A,
-                   std::span<const double> b, std::span<double> x,
-                   const CaCgOptions& opt) {
-  const auto part = make_partition(m.nprocs(), A);
-  return ca_cg(m, *part, A, b, x, opt);
-}
-
-// ---- batched multi-RHS solvers ------------------------------------------
+// ---- the batched multi-RHS core -----------------------------------------
 //
 // The batch keeps nrhs fully independent per-RHS recurrences: every
-// floating-point operation an RHS sees is the one the single-RHS
-// solver would execute, in the same order, so iterates are bitwise-
+// floating-point operation an RHS sees is the one a solo solve of
+// that RHS executes, in the same order, so iterates are bitwise-
 // identical for any batch composition and finished/broken-down RHS
 // drop out without perturbing the others.  Sharing happens in the
 // *charging*: words of A are read once per traversal, each halo
 // exchange is one event shipping all active panels, and each
 // allreduce is one event combining all active scalars/Grams.  Per-RHS
-// vector words carry an active-count multiplier, so at nrhs == 1
-// every counter is identical to the single-RHS solver's.
-
-namespace {
+// vector words carry an active-count multiplier.  The single-RHS
+// entry points are nrhs == 1 calls of this core.
 
 void check_batch_panels(std::size_t n, std::size_t nrhs, std::size_t bsz,
                         std::size_t xsz, const char* who) {
@@ -1071,15 +571,27 @@ void check_batch_panels(std::size_t n, std::size_t nrhs, std::size_t bsz,
   }
 }
 
-struct BatchSetupResult {
+/// The single-RHS entry points take exactly one n-vector each, where
+/// the batch accepts any panel of at least n*nrhs words.
+void check_vectors(std::size_t n, std::size_t bsz, std::size_t xsz,
+                   const char* who) {
+  if (bsz != n || xsz != n) {
+    throw std::invalid_argument(std::string(who) + ": size mismatch");
+  }
+}
+
+struct Initial {
   std::vector<double> delta;
   std::vector<double> bb;
 };
 
-/// Batched residual_setup: one exchange event ships all nrhs x
-/// panels, one A traversal serves every initial residual, and the
-/// nrhs deltas travel in one allreduce event.
-BatchSetupResult residual_setup_batch(
+/// Solve setup: one exchange event ships all nrhs x panels, one A
+/// traversal serves every r = b - A x and p = r (charged at the
+/// shared-memory rates), the nrhs deltas = <r, r> travel in one
+/// allreduce event, and <b, b> for the stopping thresholds in another
+/// (rank-ordered but uncharged reads, matching the shared-memory
+/// solvers).
+Initial initial_residuals(
     PartRun& rp, const std::vector<HaloTransfer>& halo1,
     const std::vector<std::size_t>& recv1, std::span<const double> B,
     std::span<double> X, std::vector<std::vector<double>>& r,
@@ -1089,7 +601,7 @@ BatchSetupResult residual_setup_batch(
   const sparse::Csr& A = rp.A;
   const std::size_t n = A.n;
 
-  BatchSetupResult out;
+  Initial out;
   out.delta.assign(nrhs, 0.0);
   out.bb.assign(nrhs, 0.0);
   std::vector<std::vector<double>> partj(nrhs,
@@ -1153,14 +665,15 @@ BatchSetupResult residual_setup_batch(
   return out;
 }
 
-/// One batched classical CG step over the RHS set @p act: the phases
-/// and per-RHS charges of cg_step with an active-count multiplier on
-/// the vector words, one exchange event, one A traversal, and one
-/// allreduce event per scalar round.  With @p check_den a non-positive
-/// or non-finite den retires that RHS after phase 1 (marked in
-/// @p broke, no phase 2/3 work or charges, no delta update), exactly
-/// mirroring the single solver's early return.
-void cg_step_batch(PartRun& rp, const std::vector<HaloTransfer>& halo1,
+/// One batched classical CG step over the RHS set @p act, charged at
+/// the classical per-step rates (reads A + O(n)/P, writes 4n/P per
+/// rank per RHS): an active-count multiplier on the vector words, one
+/// exchange event, one A traversal, and one allreduce event per
+/// scalar round.  With @p check_den (the CA-CG restart fallback) a
+/// non-positive or non-finite den retires that RHS after phase 1
+/// (marked in @p broke, no phase 2/3 work or charges, no delta
+/// update); classical CG runs the division unconditionally.
+void classical_step(PartRun& rp, const std::vector<HaloTransfer>& halo1,
                    const std::vector<std::size_t>& recv1,
                    std::span<double> X, std::vector<std::vector<double>>& r,
                    std::vector<std::vector<double>>& p,
@@ -1172,13 +685,12 @@ void cg_step_batch(PartRun& rp, const std::vector<HaloTransfer>& halo1,
   const sparse::Csr& A = rp.A;
   const std::size_t n = A.n;
   const std::uint64_t na = act.size();
-  std::vector<std::vector<double>> partj(act.size(),
+  std::vector<std::vector<double>> partj(delta.size(),
                                          std::vector<double>(rp.P, 0.0));
 
   rp.exchange(halo1, na);  // all active p panels travel together
   m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-    for (std::size_t idx = 0; idx < act.size(); ++idx) {
-      const std::size_t j = act[idx];
+    for (const std::size_t j : act) {
       double sum = 0.0;
       rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
@@ -1188,62 +700,56 @@ void cg_step_batch(PartRun& rp, const std::vector<HaloTransfer>& halo1,
       rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) sum += p[j][i] * w[j][i];
       });
-      partj[idx][rank] = sum;
+      partj[j][rank] = sum;
     }
     detail::charge_l2_transit(h, na * recv1[rank], m.M2(), 0);
     detail::charge_l3_read(
         h, rp.own_nnz[rank] + na * 3 * rp.own_sz[rank], m.M2());
     detail::charge_l3_write(h, na * rp.own_sz[rank], m.M2());  // w
   });
-  rp.allreduce_charge(na);
+  const std::vector<double> den = rp.allreduce(partj, act);
 
   std::vector<std::size_t> live;
-  std::vector<double> alpha(act.size(), 0.0);
-  for (std::size_t idx = 0; idx < act.size(); ++idx) {
-    const std::size_t j = act[idx];
-    double den = 0.0;
-    for (std::size_t q = 0; q < rp.P; ++q) den += partj[idx][q];
-    if (check_den && (den <= 0 || !std::isfinite(den))) {
+  std::vector<double> alpha(delta.size(), 0.0);
+  for (std::size_t k = 0; k < act.size(); ++k) {
+    const std::size_t j = act[k];
+    if (check_den && (den[k] <= 0 || !std::isfinite(den[k]))) {
       if (broke != nullptr) (*broke)[j] = 1;
       continue;
     }
-    alpha[idx] = delta[j] / den;
-    live.push_back(idx);
+    alpha[j] = delta[j] / den[k];
+    live.push_back(j);
   }
   if (live.empty()) return;
   const std::uint64_t nl = live.size();
 
   m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-    for (const std::size_t idx : live) {
-      const std::size_t j = act[idx];
+    for (const std::size_t j : live) {
       const auto xj = X.subspan(j * n, n);
       double sum = 0.0;
       rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) xj[i] += alpha[idx] * p[j][i];
-        for (std::size_t i = lo; i < hi; ++i) r[j][i] -= alpha[idx] * w[j][i];
+        for (std::size_t i = lo; i < hi; ++i) xj[i] += alpha[j] * p[j][i];
+        for (std::size_t i = lo; i < hi; ++i) r[j][i] -= alpha[j] * w[j][i];
         for (std::size_t i = lo; i < hi; ++i) sum += r[j][i] * r[j][i];
       });
-      partj[idx][rank] = sum;
+      partj[j][rank] = sum;
     }
     detail::charge_l3_read(h, nl * 6 * rp.own_sz[rank], m.M2());
     detail::charge_l3_write(h, nl * 2 * rp.own_sz[rank], m.M2());  // x, r
   });
-  rp.allreduce_charge(nl);
-  std::vector<double> beta(act.size(), 0.0);
-  for (const std::size_t idx : live) {
-    const std::size_t j = act[idx];
-    double delta_new = 0.0;
-    for (std::size_t q = 0; q < rp.P; ++q) delta_new += partj[idx][q];
-    beta[idx] = delta_new / delta[j];
-    delta[j] = delta_new;
+  const std::vector<double> delta_new = rp.allreduce(partj, live);
+  std::vector<double> beta(delta.size(), 0.0);
+  for (std::size_t k = 0; k < live.size(); ++k) {
+    const std::size_t j = live[k];
+    beta[j] = delta_new[k] / delta[j];
+    delta[j] = delta_new[k];
   }
 
   m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-    for (const std::size_t idx : live) {
-      const std::size_t j = act[idx];
+    for (const std::size_t j : live) {
       rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
-          p[j][i] = r[j][i] + beta[idx] * p[j][i];
+          p[j][i] = r[j][i] + beta[j] * p[j][i];
         }
       });
     }
@@ -1272,8 +778,8 @@ KrylovBatchResult cg_batch(Machine& m, const Partition& part,
   std::vector<std::vector<double>> p(nrhs, std::vector<double>(n));
   std::vector<std::vector<double>> w(nrhs, std::vector<double>(n));
 
-  const BatchSetupResult init =
-      residual_setup_batch(rp, halo1, recv1, B, X, r, p, w, nrhs);
+  const Initial init =
+      initial_residuals(rp, halo1, recv1, B, X, r, p, w, nrhs);
   std::vector<double> delta = init.delta, stop(nrhs);
   for (std::size_t j = 0; j < nrhs; ++j) {
     stop[j] = tol * tol * init.bb[j];
@@ -1292,8 +798,8 @@ KrylovBatchResult cg_batch(Machine& m, const Partition& part,
       }
     }
     if (act.empty()) break;
-    cg_step_batch(rp, halo1, recv1, X, r, p, w, delta, act,
-                  /*check_den=*/false, nullptr);
+    classical_step(rp, halo1, recv1, X, r, p, w, delta, act,
+                   /*check_den=*/false, nullptr);
     for (const std::size_t j : act) ++out.rhs[j].iterations;
   }
 
@@ -1311,8 +817,7 @@ KrylovBatchResult cg_batch(Machine& m, const Partition& part,
 KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
                               const sparse::Csr& A,
                               std::span<const double> B, std::span<double> X,
-                              std::size_t nrhs, const CaCgOptions& opt,
-                              const KrylovExec& exec) {
+                              std::size_t nrhs, const CaCgOptions& opt) {
   const std::size_t n = A.n;
   const std::size_t s = opt.s;
   if (s == 0) throw std::invalid_argument("dist::ca_cg_batch: s >= 1");
@@ -1341,8 +846,8 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
   std::vector<std::vector<double>> p(nrhs, std::vector<double>(n));
   std::vector<std::vector<double>> w(nrhs, std::vector<double>(n));
 
-  const BatchSetupResult init =
-      residual_setup_batch(rp, halo1, recv1, B, X, r, p, w, nrhs);
+  const Initial init =
+      initial_residuals(rp, halo1, recv1, B, X, r, p, w, nrhs);
   std::vector<double> delta = init.delta, stop(nrhs), delta_enter(nrhs, 0.0);
   for (std::size_t j = 0; j < nrhs; ++j) {
     stop[j] = opt.tol * opt.tol * init.bb[j];
@@ -1419,7 +924,7 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
           std::uint64_t a_words = 0;
           for (const std::size_t j : act) {
             a_words = build_basis_graph(ck, bc, s, p[j], r[j],
-                                        Vloc[rank][j], exec.reuse_scratch);
+                                        Vloc[rank][j]);
             graph_gram(ck, gpart[rank][j], mm, Vloc[rank][j]);
           }
           detail::charge_l2_transit(h, 2 * na * recv_s[rank], m.M2(), 0);
@@ -1437,8 +942,7 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
           auto& W = Vloc[rank][j];
           // Identical geometry for every RHS, so a_words is the same
           // each time; it is charged once for the whole batch below.
-          a_words = build_basis_box(A, part, bc, s, p[j], r[j], ebox, W,
-                                    exec.reuse_scratch);
+          a_words = build_basis_box(A, part, bc, s, p[j], r[j], ebox, W);
           kd::Small& gp = gpart[rank][j];
           std::vector<const double*> wp(mm);
           for (std::size_t a = 0; a < mm; ++a) wp[a] = W[a].data();
@@ -1465,8 +969,7 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
           for (const GraphChunk& ck : gplan[rank]) {
             std::uint64_t a_words = 0;
             for (const std::size_t j : act) {
-              a_words = build_basis_graph(ck, bc, s, p[j], r[j], W,
-                                          exec.reuse_scratch);
+              a_words = build_basis_graph(ck, bc, s, p[j], r[j], W);
               graph_gram(ck, gpart[rank][j], mm, W);
             }
             detail::charge_l3_read(h, na * 2 * ck.overlap, m.M2());
@@ -1479,8 +982,7 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
           const NodeBox ebox = dilate_clipped(part, c, ext);
           std::uint64_t a_words = 0;
           for (const std::size_t j : act) {
-            a_words = build_basis_box(A, part, bc, s, p[j], r[j], ebox, W,
-                                      exec.reuse_scratch);
+            a_words = build_basis_box(A, part, bc, s, p[j], r[j], ebox, W);
             kd::Small& gp = gpart[rank][j];
             std::vector<const double*> wp(mm);
             for (std::size_t a = 0; a < mm; ++a) wp[a] = W[a].data();
@@ -1497,17 +999,23 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
       });
     }
 
-    // Gram combine per RHS, one allreduce event for all active
-    // triangles.
+    // Gram combine per RHS in rank order, then one allreduce event for
+    // all active upper triangles, which ride it packed (RHS by RHS, row
+    // by row) as the real payload.
+    std::vector<double> tri;
+    tri.reserve(na * (mm * (mm + 1) / 2));
     for (const std::size_t j : act) {
       for (std::size_t q = 0; q < P; ++q) {
         for (std::size_t a = 0; a < mm; ++a) {
           for (std::size_t c = a; c < mm; ++c) G[j](a, c) += gpart[q][j](a, c);
         }
       }
+      for (std::size_t a = 0; a < mm; ++a) {
+        for (std::size_t c = a; c < mm; ++c) tri.push_back(G[j](a, c));
+      }
       linalg::gram_mirror(G[j].a.data(), mm);
     }
-    rp.allreduce_charge(na * (mm * (mm + 1) / 2));
+    rp.allreduce_charge(tri.size(), tri.data());
 
     std::vector<std::vector<double>> xh(nrhs), ph(nrhs), rh(nrhs);
     std::vector<std::size_t> act2;
@@ -1582,8 +1090,7 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
           for (const GraphChunk& ck : gplan[rank]) {
             std::uint64_t a_words = 0;
             for (const std::size_t j : act2) {
-              a_words = build_basis_graph(ck, bc, s, p[j], r[j], W,
-                                          exec.reuse_scratch);
+              a_words = build_basis_graph(ck, bc, s, p[j], r[j], W);
               const auto xj = X.subspan(j * n, n);
               graph_recover(ck, mm, W, ph[j], rh[j], xh[j], xj, pn[j],
                             rn[j]);
@@ -1600,8 +1107,7 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
           const NodeBox ebox = dilate_clipped(part, c, ext);
           std::uint64_t a_words = 0;
           for (const std::size_t j : act2) {
-            a_words = build_basis_box(A, part, bc, s, p[j], r[j], ebox, W,
-                                      exec.reuse_scratch);
+            a_words = build_basis_box(A, part, bc, s, p[j], r[j], ebox, W);
             const auto xj = X.subspan(j * n, n);
             for_each_run_local(
                 part, c, ebox,
@@ -1633,6 +1139,8 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
       }
     }
 
+    // Recompute delta from the *recovered* residual; a large
+    // disagreement with the coordinate-space value flags breakdown.
     m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
       for (const std::size_t j : act2) {
         double sum = 0.0;
@@ -1643,14 +1151,13 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
       }
       detail::charge_l3_read(h, na2 * 2 * rp.own_sz[rank], m.M2());
     });
-    rp.allreduce_charge(na2);
+    const std::vector<double> delta_true = rp.allreduce(partj, act2);
 
     std::vector<std::size_t> restart_set;
-    for (const std::size_t j : act2) {
-      double delta_true = 0.0;
-      for (std::size_t q = 0; q < P; ++q) delta_true += partj[j][q];
-      if (!std::isfinite(delta_true) ||
-          delta_true > 16.0 * delta_enter[j]) {
+    for (std::size_t k = 0; k < act2.size(); ++k) {
+      const std::size_t j = act2[k];
+      if (!std::isfinite(delta_true[k]) ||
+          delta_true[k] > 16.0 * delta_enter[j]) {
         if (++restarts[j] > kMaxRestarts) {
           finished[j] = 1;
           continue;
@@ -1665,7 +1172,7 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
         delta[j] = delta_enter[j];
         restart_set.push_back(j);
       } else {
-        delta[j] = delta_true;
+        delta[j] = delta_true[k];
       }
     }
 
@@ -1681,8 +1188,8 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
           if (!fb_broke[j] && delta[j] > stop[j]) R.push_back(j);
         }
         if (R.empty()) break;
-        cg_step_batch(rp, halo1, recv1, X, r, p, w, delta, R,
-                      /*check_den=*/true, &fb_broke);
+        classical_step(rp, halo1, recv1, X, r, p, w, delta, R,
+                       /*check_den=*/true, &fb_broke);
         for (const std::size_t j : R) {
           if (!fb_broke[j]) ++out.rhs[j].iterations;
         }
@@ -1699,6 +1206,34 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
     }
   }
   return out;
+}
+
+KrylovResult cg(Machine& m, const Partition& part, const sparse::Csr& A,
+                std::span<const double> b, std::span<double> x,
+                std::size_t max_iters, double tol) {
+  check_vectors(A.n, b.size(), x.size(), "dist::cg");
+  return cg_batch(m, part, A, b, x, 1, max_iters, tol).rhs.front();
+}
+
+KrylovResult ca_cg(Machine& m, const Partition& part, const sparse::Csr& A,
+                   std::span<const double> b, std::span<double> x,
+                   const CaCgOptions& opt) {
+  if (opt.s == 0) throw std::invalid_argument("dist::ca_cg: s >= 1");
+  check_vectors(A.n, b.size(), x.size(), "dist::ca_cg");
+  return ca_cg_batch(m, part, A, b, x, 1, opt).rhs.front();
+}
+
+KrylovResult cg(Machine& m, const sparse::Csr& A, std::span<const double> b,
+                std::span<double> x, std::size_t max_iters, double tol) {
+  const auto part = make_partition(m.nprocs(), A);
+  return cg(m, *part, A, b, x, max_iters, tol);
+}
+
+KrylovResult ca_cg(Machine& m, const sparse::Csr& A,
+                   std::span<const double> b, std::span<double> x,
+                   const CaCgOptions& opt) {
+  const auto part = make_partition(m.nprocs(), A);
+  return ca_cg(m, *part, A, b, x, opt);
 }
 
 KrylovBatchResult cg_batch(Machine& m, const sparse::Csr& A,

@@ -41,9 +41,17 @@
 // i.e. the stored-basis variant stays Theta(n) in total while the
 // streaming variant realizes the paper's Theta(s) write reduction.
 // What the partition changes is the *network* channel: see the
-// halo_words_*_model closed forms below.  On P = 1 both solvers are
-// bitwise-equal to their shared-memory counterparts in src/krylov/
-// (pinned by tests/dist_krylov_test.cpp).
+// halo_words_*_model closed forms below.
+//
+// One batched core implements both solvers: cg_batch / ca_cg_batch
+// run nrhs independent recurrences that share A's traversals, the
+// exchange events and the allreduce events, and the single-RHS entry
+// points cg / ca_cg are nrhs = 1 calls of it.  The shared-memory
+// krylov::cg / krylov::ca_cg (src/krylov/) are the reference: on
+// P = 1 every RHS of a batch is bitwise-equal to them on that RHS
+// alone (pinned by tests/dist_krylov_test.cpp and
+// tests/krylov_batch_test.cpp), so a shared-memory batch is a 1-rank
+// ca_cg_batch.
 
 #include <algorithm>
 #include <cmath>
@@ -75,17 +83,9 @@ struct KrylovBatchResult {
   std::vector<KrylovResult> rhs;
 };
 
-/// Execution tuning of the distributed solvers (numerics and counters
-/// are invariant under every setting).
-struct KrylovExec {
-  /// Reuse each rank's basis scratch across outer iterations and
-  /// streaming blocks instead of reallocating 2s+1 columns per block
-  /// (the PR 4 behavior, kept for the bench's wall-clock comparison).
-  bool reuse_scratch = true;
-};
-
 /// Distributed classical CG (Algorithm 6) on an explicit partition:
 /// partitioned spmv with radius-deep ghost exchanges, allreduce dots.
+/// An nrhs = 1 cg_batch call; b and x must hold exactly A.n words.
 KrylovResult cg(Machine& m, const Partition& part, const sparse::Csr& A,
                 std::span<const double> b, std::span<double> x,
                 std::size_t max_iters, double tol);
@@ -93,10 +93,11 @@ KrylovResult cg(Machine& m, const Partition& part, const sparse::Csr& A,
 /// Distributed s-step CA-CG (Algorithm 7 / §8) on an explicit
 /// partition, kStored or kStreaming, monomial or Newton basis --
 /// semantics of the options match the shared-memory krylov::ca_cg.
+/// An nrhs = 1 ca_cg_batch call; b and x must hold exactly A.n words
+/// and opt.s must be >= 1.
 KrylovResult ca_cg(Machine& m, const Partition& part, const sparse::Csr& A,
                    std::span<const double> b, std::span<double> x,
-                   const krylov::CaCgOptions& opt,
-                   const KrylovExec& exec = {});
+                   const krylov::CaCgOptions& opt);
 
 /// Convenience front doors: partition chosen from the matrix geometry
 /// (make_partition kAuto -- 2-D blocks for mesh-generated matrices,
@@ -110,14 +111,13 @@ KrylovResult ca_cg(Machine& m, const sparse::Csr& A,
 /// Batched multi-RHS distributed solvers on column-major n x nrhs
 /// panels (RHS j occupies [j*n, (j+1)*n) of B and X).  The b per-RHS
 /// recurrences are fully independent -- every RHS's arithmetic is
-/// bitwise-identical to the single-RHS solver's, and finished systems
+/// bitwise-identical to a solo solve of that RHS, and finished systems
 /// drop out without perturbing the others' bits -- but the *shared*
 /// costs are paid once per batch: one traversal of A per basis level
 /// (or SpMV), one ghost-exchange event per outer iteration shipping
 /// all active panels together, and one allreduce event combining all
 /// active Gram matrices / dot products.  Per-RHS vector words are
-/// charged per RHS, so at nrhs == 1 every counter reduces exactly to
-/// the single-RHS solver's.
+/// charged per RHS.  B and X must hold at least n*nrhs words.
 KrylovBatchResult cg_batch(Machine& m, const Partition& part,
                            const sparse::Csr& A, std::span<const double> B,
                            std::span<double> X, std::size_t nrhs,
@@ -126,8 +126,7 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
                               const sparse::Csr& A,
                               std::span<const double> B, std::span<double> X,
                               std::size_t nrhs,
-                              const krylov::CaCgOptions& opt,
-                              const KrylovExec& exec = {});
+                              const krylov::CaCgOptions& opt);
 KrylovBatchResult cg_batch(Machine& m, const sparse::Csr& A,
                            std::span<const double> B, std::span<double> X,
                            std::size_t nrhs, std::size_t max_iters,

@@ -401,43 +401,6 @@ TEST(GraphPartition, CountersAndBitsIdenticalSerialVsThreaded) {
   }
 }
 
-TEST(GraphPartition, BatchOfOneBitwiseEqualSingleRhs) {
-  // The batched graph path must collapse to the single-RHS path at
-  // b = 1: same iterates, same convergence, same counters.
-  const auto prob = make_graph_problem(
-      sparse::random_spd_graph(150, 6, 5), 97);
-  for (auto mode : {CaCgMode::kStored, CaCgMode::kStreaming}) {
-    CaCgOptions opt;
-    opt.s = 4;
-    opt.tol = 1e-9;
-    opt.mode = mode;
-    const std::size_t P = 4;
-    const auto part = make_partition(P, prob.A);
-    ASSERT_NE(part->graph(), nullptr);
-
-    Machine m1 = make_machine(P);
-    std::vector<double> x1(prob.A.n, 0.0);
-    const auto r1 = dist::ca_cg(m1, *part, prob.A, prob.b, x1, opt);
-
-    Machine mb = make_machine(P);
-    std::vector<double> xb(prob.A.n, 0.0);
-    const auto rb =
-        dist::ca_cg_batch(mb, *part, prob.A, prob.b, xb, 1, opt);
-
-    ASSERT_EQ(rb.rhs.size(), 1u);
-    EXPECT_EQ(rb.rhs[0].iterations, r1.iterations);
-    EXPECT_EQ(rb.rhs[0].converged, r1.converged);
-    EXPECT_EQ(std::memcmp(x1.data(), xb.data(),
-                          prob.A.n * sizeof(double)),
-              0);
-    for (std::size_t p = 0; p < P; ++p) {
-      EXPECT_EQ(m1.proc(p).l3_write.words, mb.proc(p).l3_write.words)
-          << "proc " << p;
-      EXPECT_EQ(m1.proc(p).nw.words, mb.proc(p).nw.words) << "proc " << p;
-    }
-  }
-}
-
 TEST(GraphPartition, BatchIteratesMatch1DPartitionToTolerance) {
   // The same batched solve under the graph and explicit 1-D
   // partitions: the iterates differ only by allreduce partial-sum

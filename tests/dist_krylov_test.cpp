@@ -3,7 +3,8 @@
 // bitwise equality with the shared-memory solvers on P = 1, residual
 // parity on ragged rank counts, serial-vs-threaded counter identity,
 // the exact Theta(s) write reduction of the streaming matrix-powers
-// variant, and the bandwidth-halo blow-up the 2-D partition fixes.
+// variant, the bandwidth-halo blow-up the 2-D partition fixes, and the
+// std::invalid_argument input checks of every entry point.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <cstring>
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "dist/backend.hpp"
@@ -510,33 +512,6 @@ TEST(Partition2D, P1BitwiseEqualSharedMemory) {
   }
 }
 
-TEST(Partition2D, ScratchReuseIsBitwiseAndCounterInvariant) {
-  const auto prob = make_problem_2d(sparse::stencil_2d(20, 13, 1), 59);
-  CaCgOptions opt;
-  opt.s = 4;
-  opt.tol = 1e-9;
-  opt.mode = CaCgMode::kStreaming;
-  for (std::size_t P : {4, 6}) {
-    const auto part = make_partition(P, prob.A);
-    Machine m_reuse = make_machine(P);
-    std::vector<double> x_reuse(prob.A.n, 0.0);
-    dist::ca_cg(m_reuse, *part, prob.A, prob.b, x_reuse, opt,
-                KrylovExec{.reuse_scratch = true});
-    Machine m_fresh = make_machine(P);
-    std::vector<double> x_fresh(prob.A.n, 0.0);
-    dist::ca_cg(m_fresh, *part, prob.A, prob.b, x_fresh, opt,
-                KrylovExec{.reuse_scratch = false});
-    EXPECT_EQ(std::memcmp(x_reuse.data(), x_fresh.data(),
-                          prob.A.n * sizeof(double)),
-              0);
-    for (std::size_t p = 0; p < P; ++p) {
-      EXPECT_EQ(m_reuse.proc(p).l3_write.words,
-                m_fresh.proc(p).l3_write.words);
-      EXPECT_EQ(m_reuse.proc(p).nw.words, m_fresh.proc(p).nw.words);
-    }
-  }
-}
-
 // ---- P = 1 bitwise equality with the shared-memory solvers --------------
 
 TEST(DistCg, BitwiseEqualSharedMemoryOnP1) {
@@ -804,6 +779,113 @@ TEST(DistCaCg, GhostWordsScaleWithSNotN) {
   // Doubling n must not change the ghost volume; only the (fixed
   // size) allreduces and the s*bw zones appear on the wire.
   EXPECT_EQ(count_nw(256), count_nw(512));
+}
+
+// ---- input checks at the public entry points ---------------------------
+
+TEST(DistKrylovInputs, ZeroStepsThrows) {
+  const auto prob = make_problem(40, 1, 61);
+  const auto part = make_partition(2, prob.A);
+  CaCgOptions opt;
+  opt.s = 0;
+  Machine m = make_machine(2);
+  std::vector<double> x(prob.A.n, 0.0);
+  EXPECT_THROW(dist::ca_cg(m, *part, prob.A, prob.b, x, opt),
+               std::invalid_argument);
+  EXPECT_THROW(dist::ca_cg(m, prob.A, prob.b, x, opt), std::invalid_argument);
+  EXPECT_THROW(dist::ca_cg_batch(m, *part, prob.A, prob.b, x, 1, opt),
+               std::invalid_argument);
+  EXPECT_THROW(dist::ca_cg_batch(m, prob.A, prob.b, x, 1, opt),
+               std::invalid_argument);
+}
+
+TEST(DistKrylovInputs, SingleRhsVectorsMustHoldExactlyN) {
+  // The batch accepts any panel of >= n*nrhs words; the single-RHS
+  // entry points keep their exact-length contract on b and x.
+  const auto prob = make_problem(40, 1, 67);
+  const std::size_t n = prob.A.n;
+  const auto part = make_partition(2, prob.A);
+  CaCgOptions opt;
+  Machine m = make_machine(2);
+  for (const std::size_t len : {n - 1, n + 1}) {
+    std::vector<double> b(len, 1.0), x(len, 0.0), xn(n, 0.0);
+    EXPECT_THROW(dist::cg(m, *part, prob.A, b, xn, 10, 1e-10),
+                 std::invalid_argument)
+        << "b length " << len;
+    EXPECT_THROW(dist::cg(m, *part, prob.A, prob.b, x, 10, 1e-10),
+                 std::invalid_argument)
+        << "x length " << len;
+    EXPECT_THROW(dist::ca_cg(m, *part, prob.A, b, xn, opt),
+                 std::invalid_argument)
+        << "b length " << len;
+    EXPECT_THROW(dist::ca_cg(m, *part, prob.A, prob.b, x, opt),
+                 std::invalid_argument)
+        << "x length " << len;
+    EXPECT_THROW(dist::cg(m, prob.A, prob.b, x, 10, 1e-10),
+                 std::invalid_argument);
+    EXPECT_THROW(dist::ca_cg(m, prob.A, prob.b, x, opt),
+                 std::invalid_argument);
+  }
+}
+
+TEST(DistKrylovInputs, BatchPanelsMustHoldNTimesNrhs) {
+  const auto prob = make_problem(40, 1, 71);
+  const std::size_t n = prob.A.n, nrhs = 3;
+  const auto part = make_partition(2, prob.A);
+  CaCgOptions opt;
+  opt.max_outer = 2;
+  Machine m = make_machine(2);
+  const std::vector<double> B(n * nrhs, 1.0), Bshort(n * nrhs - 1, 1.0);
+  std::vector<double> X(n * nrhs, 0.0), Xshort(n * nrhs - 1, 0.0);
+  EXPECT_THROW(dist::cg_batch(m, *part, prob.A, Bshort, X, nrhs, 10, 1e-10),
+               std::invalid_argument);
+  EXPECT_THROW(dist::cg_batch(m, *part, prob.A, B, Xshort, nrhs, 10, 1e-10),
+               std::invalid_argument);
+  EXPECT_THROW(dist::ca_cg_batch(m, *part, prob.A, Bshort, X, nrhs, opt),
+               std::invalid_argument);
+  EXPECT_THROW(dist::ca_cg_batch(m, *part, prob.A, B, Xshort, nrhs, opt),
+               std::invalid_argument);
+  EXPECT_THROW(dist::cg_batch(m, prob.A, Bshort, X, nrhs, 10, 1e-10),
+               std::invalid_argument);
+  EXPECT_THROW(dist::ca_cg_batch(m, prob.A, B, Xshort, nrhs, opt),
+               std::invalid_argument);
+  // Longer panels are accepted: only the leading n*nrhs words are used.
+  std::vector<double> Xlong(n * nrhs + 1, 0.0);
+  EXPECT_NO_THROW(dist::ca_cg_batch(m, *part, prob.A, B, Xlong, nrhs, opt));
+  EXPECT_EQ(Xlong.back(), 0.0);
+}
+
+TEST(DistKrylovInputs, PartitionRankCountMustMatchMachine) {
+  const auto prob = make_problem(40, 1, 73);
+  const auto part = make_partition(4, prob.A);
+  CaCgOptions opt;
+  Machine m = make_machine(2);
+  std::vector<double> x(prob.A.n, 0.0);
+  EXPECT_THROW(dist::cg(m, *part, prob.A, prob.b, x, 10, 1e-10),
+               std::invalid_argument);
+  EXPECT_THROW(dist::ca_cg(m, *part, prob.A, prob.b, x, opt),
+               std::invalid_argument);
+  EXPECT_THROW(dist::cg_batch(m, *part, prob.A, prob.b, x, 1, 10, 1e-10),
+               std::invalid_argument);
+  EXPECT_THROW(dist::ca_cg_batch(m, *part, prob.A, prob.b, x, 1, opt),
+               std::invalid_argument);
+}
+
+TEST(DistKrylovInputs, PartitionMustCoverTheMatrix) {
+  const auto prob = make_problem(40, 1, 79);
+  const auto other = sparse::stencil_1d(50, 1);
+  const auto part = make_partition(2, other);  // 50 nodes, A has 40
+  CaCgOptions opt;
+  Machine m = make_machine(2);
+  std::vector<double> x(prob.A.n, 0.0);
+  EXPECT_THROW(dist::cg(m, *part, prob.A, prob.b, x, 10, 1e-10),
+               std::invalid_argument);
+  EXPECT_THROW(dist::ca_cg(m, *part, prob.A, prob.b, x, opt),
+               std::invalid_argument);
+  EXPECT_THROW(dist::cg_batch(m, *part, prob.A, prob.b, x, 1, 10, 1e-10),
+               std::invalid_argument);
+  EXPECT_THROW(dist::ca_cg_batch(m, *part, prob.A, prob.b, x, 1, opt),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -430,6 +431,79 @@ TEST(SimShmIdentityTest, DistributedKrylov) {
         ca_cg(m, A, b, x, opt);
         return x;
       });
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// The Krylov allreduces carry the solver's values: after a solve the
+// words of its last collectives sit in every rank's ShmTransport arena,
+// and they must be the combined Gram triangles and residual norms,
+// not the synthetic pattern ShmTransport stages for a missing payload.
+
+/// Offset of G(a, c), a <= c, in the row-by-row packed upper triangle
+/// of an mm x mm Gram matrix.
+std::size_t packed_upper(std::size_t mm, std::size_t a, std::size_t c) {
+  return a * mm - a * (a - 1) / 2 + (c - a);
+}
+
+TEST(ShmPayloadTest, KrylovBatchAllreducesCarrySolverValues) {
+  const sparse::Csr A = sparse::stencil_2d(7, 5);
+  const std::size_t n = A.n, nrhs = 2, P = 4;
+  std::vector<double> B(n * nrhs), bb(nrhs, 0.0);
+  for (std::size_t j = 0; j < nrhs; ++j) {
+    for (std::size_t i = 0; i < n; ++i) {
+      B[j * n + i] = 1.0 + 0.25 * double(j) + 0.01 * double(i);
+      bb[j] += B[j * n + i] * B[j * n + i];
+    }
+  }
+  const auto rel_err = [](double got, double want) {
+    return std::abs(got - want) / std::abs(want);
+  };
+
+  // CA-CG, one outer iteration: the Gram allreduce ships both packed
+  // triangles, then the recomputed-delta allreduce overwrites the
+  // first nrhs words.  From x0 = 0, p = r = b, so RHS 1's <p,p>,
+  // <p,r> and <r,r> all equal ||b_1||^2.
+  {
+    Machine m = machine_with(P, "shm");
+    krylov::CaCgOptions opt;
+    opt.s = 2;
+    opt.max_outer = 1;
+    opt.tol = 1e-14;
+    std::vector<double> X(n * nrhs, 0.0);
+    const auto res = ca_cg_batch(m, A, B, X, nrhs, opt);
+    const auto& shm = dynamic_cast<const ShmTransport&>(m.transport());
+    const std::size_t s = opt.s, mm = 2 * s + 1, tri = mm * (mm + 1) / 2;
+    for (std::size_t p = 0; p < P; ++p) {
+      const std::vector<double>& a = shm.arena(p);
+      ASSERT_GE(a.size(), nrhs * tri);
+      for (std::size_t j = 0; j < nrhs; ++j) {
+        const double rn = res.rhs[j].residual_norm;
+        EXPECT_LT(rel_err(a[j], rn * rn), 1e-8) << "rank " << p << " rhs " << j;
+      }
+      for (const auto& [r, c] : {std::pair<std::size_t, std::size_t>{0, 0},
+                                 {0, s + 1},
+                                 {s + 1, s + 1}}) {
+        EXPECT_LT(rel_err(a[tri + packed_upper(mm, r, c)], bb[1]), 1e-12)
+            << "rank " << p << " G(" << r << "," << c << ")";
+      }
+    }
+  }
+
+  // Classical CG, one step: the last allreduce ships the new <r, r>.
+  {
+    Machine m = machine_with(P, "shm");
+    std::vector<double> X(n * nrhs, 0.0);
+    const auto res = cg_batch(m, A, B, X, nrhs, /*max_iters=*/1, /*tol=*/0.0);
+    const auto& shm = dynamic_cast<const ShmTransport&>(m.transport());
+    for (std::size_t p = 0; p < P; ++p) {
+      const std::vector<double>& a = shm.arena(p);
+      ASSERT_GE(a.size(), nrhs);
+      for (std::size_t j = 0; j < nrhs; ++j) {
+        const double rn = res.rhs[j].residual_norm;
+        EXPECT_LT(rel_err(a[j], rn * rn), 1e-8) << "rank " << p << " rhs " << j;
+      }
     }
   }
 }

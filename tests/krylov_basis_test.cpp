@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <random>
+#include <string>
 
 #include "krylov/cacg.hpp"
 #include "krylov/cg.hpp"
@@ -60,9 +61,13 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(CaCgBasis::kMonomial,
                                          CaCgBasis::kNewton)),
     [](const auto& info) {
-      return "s" + std::to_string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) == CaCgBasis::kMonomial ? "_monomial"
-                                                              : "_newton");
+      // Appended piecewise: GCC 12 raises a false -Wrestrict on the
+      // inlined `"literal" + std::string` prepend.
+      std::string name = "s";
+      name += std::to_string(std::get<0>(info.param));
+      name += std::get<1>(info.param) == CaCgBasis::kMonomial ? "_monomial"
+                                                             : "_newton";
+      return name;
     });
 
 TEST(NewtonBasis, MatchesCgForOneOuterIteration) {

@@ -1,6 +1,6 @@
-// Batched multi-RHS CG / CA-CG (krylov/batch.hpp, dist/krylov.hpp):
-// the b = 1 batch is bitwise-identical to the single-RHS solvers --
-// iterates AND traffic counters -- per-RHS early exit leaves the
+// Batched multi-RHS CG / CA-CG (dist/krylov.hpp): on P = 1 every RHS
+// of a batch is bitwise-equal to the shared-memory krylov::cg /
+// krylov::ca_cg solving it alone, per-RHS early exit leaves the
 // remaining iterates bitwise-unchanged, the batched distributed path
 // is backend-invariant, and the b-sweep counters match the closed-
 // form amortization models: A-words and network messages per solve
@@ -19,7 +19,6 @@
 #include "dist/machine.hpp"
 #include "dist/partition.hpp"
 #include "dist/planner.hpp"
-#include "krylov/batch.hpp"
 #include "krylov/cacg.hpp"
 #include "krylov/cg.hpp"
 #include "sparse/csr.hpp"
@@ -57,115 +56,6 @@ bool bits_equal(std::span<const double> a, std::span<const double> b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-// ---- shared-memory batch: b = 1 reduces exactly -------------------------
-
-TEST(SharedBatch, CgB1BitwiseEqualSingle) {
-  const auto A = sparse::stencil_1d(384, 2);
-  const auto B = panel_for(A, 1, 11);
-  std::vector<double> xs(A.n, 0.0), xb(A.n, 0.0);
-
-  const auto solo = krylov::cg(A, B, xs, 200, 1e-10);
-  const auto batch = krylov::cg_batch(A, B, xb, 1, 200, 1e-10);
-
-  ASSERT_EQ(batch.rhs.size(), 1u);
-  EXPECT_TRUE(bits_equal(xs, xb));
-  EXPECT_EQ(solo.iterations, batch.rhs[0].iterations);
-  EXPECT_EQ(solo.converged, batch.rhs[0].converged);
-  EXPECT_EQ(solo.residual_norm, batch.rhs[0].residual_norm);
-  EXPECT_EQ(solo.traffic.slow_reads, batch.traffic.slow_reads);
-  EXPECT_EQ(solo.traffic.slow_writes, batch.traffic.slow_writes);
-  EXPECT_EQ(solo.traffic.flops, batch.traffic.flops);
-}
-
-TEST(SharedBatch, CaCgB1BitwiseEqualSingle) {
-  const auto A = sparse::stencil_1d(384, 1);
-  const auto B = panel_for(A, 1, 7);
-  for (auto mode : {CaCgMode::kStored, CaCgMode::kStreaming}) {
-    for (auto basis : {CaCgBasis::kMonomial, CaCgBasis::kNewton}) {
-      CaCgOptions opt;
-      opt.s = 4;
-      opt.tol = 1e-10;
-      opt.mode = mode;
-      opt.basis = basis;
-      std::vector<double> xs(A.n, 0.0), xb(A.n, 0.0);
-
-      const auto solo = krylov::ca_cg(A, B, xs, opt);
-      const auto batch = krylov::ca_cg_batch(A, B, xb, 1, opt);
-
-      ASSERT_EQ(batch.rhs.size(), 1u);
-      EXPECT_TRUE(bits_equal(xs, xb))
-          << "mode=" << int(mode) << " basis=" << int(basis);
-      EXPECT_EQ(solo.iterations, batch.rhs[0].iterations);
-      EXPECT_EQ(solo.converged, batch.rhs[0].converged);
-      EXPECT_EQ(solo.traffic.slow_reads, batch.traffic.slow_reads);
-      EXPECT_EQ(solo.traffic.slow_writes, batch.traffic.slow_writes);
-      EXPECT_EQ(solo.traffic.flops, batch.traffic.flops);
-    }
-  }
-}
-
-// ---- per-RHS early exit perturbs nothing --------------------------------
-
-TEST(SharedBatch, EarlyExitLeavesOthersBitwise) {
-  // RHS 0 is identically zero: it converges before the first
-  // iteration and drops out of the batch, while RHS 1 runs the full
-  // solve.  Independence means RHS 1's iterate is bitwise-equal to a
-  // solo solve at every point after the dropout.
-  const auto A = sparse::stencil_1d(384, 1);
-  const std::size_t n = A.n;
-  const auto hard = panel_for(A, 1, 23);
-  std::vector<double> B(2 * n, 0.0);
-  std::copy(hard.begin(), hard.end(), B.begin() + std::ptrdiff_t(n));
-
-  {
-    std::vector<double> xs(n, 0.0), xb(2 * n, 0.0);
-    const auto solo = krylov::cg(A, hard, xs, 200, 1e-10);
-    const auto batch = krylov::cg_batch(A, B, xb, 2, 200, 1e-10);
-    EXPECT_TRUE(batch.rhs[0].converged);
-    EXPECT_EQ(batch.rhs[0].iterations, 0u);
-    EXPECT_EQ(solo.iterations, batch.rhs[1].iterations);
-    EXPECT_TRUE(bits_equal(xs, std::span<const double>(xb).subspan(n, n)));
-  }
-  for (auto mode : {CaCgMode::kStored, CaCgMode::kStreaming}) {
-    CaCgOptions opt;
-    opt.s = 4;
-    opt.tol = 1e-10;
-    opt.mode = mode;
-    std::vector<double> xs(n, 0.0), xb(2 * n, 0.0);
-    const auto solo = krylov::ca_cg(A, hard, xs, opt);
-    const auto batch = krylov::ca_cg_batch(A, B, xb, 2, opt);
-    EXPECT_TRUE(batch.rhs[0].converged);
-    EXPECT_EQ(batch.rhs[0].iterations, 0u);
-    EXPECT_EQ(solo.iterations, batch.rhs[1].iterations);
-    EXPECT_TRUE(bits_equal(xs, std::span<const double>(xb).subspan(n, n)));
-  }
-}
-
-TEST(SharedBatch, SharesTheMatrixStream) {
-  // The whole point: four solves in one batch read A once per
-  // traversal, so batch reads sit well below four solo solves.
-  const auto A = sparse::stencil_1d(1024, 1);
-  const std::size_t nrhs = 4;
-  const auto B = panel_for(A, nrhs, 31);
-  CaCgOptions opt;
-  opt.s = 4;
-  opt.tol = 1e-10;
-
-  std::uint64_t solo_reads = 0;
-  for (std::size_t j = 0; j < nrhs; ++j) {
-    std::vector<double> x(A.n, 0.0);
-    solo_reads +=
-        krylov::ca_cg(A, std::span<const double>(B).subspan(j * A.n, A.n), x,
-                      opt)
-            .traffic.slow_reads;
-  }
-  std::vector<double> X(A.n * nrhs, 0.0);
-  const auto batch = krylov::ca_cg_batch(A, B, X, nrhs, opt);
-  EXPECT_LT(double(batch.traffic.slow_reads), 0.75 * double(solo_reads));
-}
-
-// ---- distributed batch: b = 1 reduces exactly, bits and counters --------
-
 void expect_counters_equal(const dist::Machine& a, const dist::Machine& b) {
   ASSERT_EQ(a.nprocs(), b.nprocs());
   for (std::size_t p = 0; p < a.nprocs(); ++p) {
@@ -184,18 +74,96 @@ void expect_counters_equal(const dist::Machine& a, const dist::Machine& b) {
   }
 }
 
-TEST(DistBatch, B1BitwiseEqualSingle) {
+// ---- the P = 1 oracle: each RHS equals the shared-memory solver --------
+
+TEST(DistBatch, P1EachRhsBitwiseEqualSharedSolver) {
+  // On one rank every RHS of a batch runs the shared-memory solver's
+  // arithmetic in the same order, so each column of the batched
+  // iterate is memcmp-equal to krylov::cg / krylov::ca_cg solving that
+  // RHS alone -- on the 1-D, 2-D and graph partitions alike.
+  const std::size_t nrhs = 3;
+  const struct {
+    sparse::Csr A;
+    dist::PartitionKind kind;
+  } cases[] = {
+      {sparse::stencil_1d(130, 1), dist::PartitionKind::kRows1D},
+      {sparse::stencil_2d(12, 9, 1), dist::PartitionKind::kBlocks2D},
+      {sparse::small_world_graph(200, 2, 12, 7), dist::PartitionKind::kGraph},
+  };
+  for (const auto& tc : cases) {
+    const sparse::Csr& A = tc.A;
+    const std::size_t n = A.n;
+    const auto part = dist::make_partition(1, A, tc.kind);
+    const auto B = panel_for(A, nrhs, 13);
+    const auto col = [&](std::span<const double> v, std::size_t j) {
+      return v.subspan(j * n, n);
+    };
+
+    {
+      dist::Machine m = make_machine(1);
+      std::vector<double> X(n * nrhs, 0.0);
+      const auto rd = dist::cg_batch(m, *part, A, B, X, nrhs, 500, 1e-10);
+      for (std::size_t j = 0; j < nrhs; ++j) {
+        std::vector<double> x(n, 0.0);
+        const auto ref = krylov::cg(A, col(B, j), x, 500, 1e-10);
+        EXPECT_TRUE(bits_equal(col(X, j), x))
+            << "cg kind=" << int(tc.kind) << " rhs " << j;
+        EXPECT_EQ(rd.rhs[j].iterations, ref.iterations) << "rhs " << j;
+      }
+    }
+    for (auto mode : {CaCgMode::kStored, CaCgMode::kStreaming}) {
+      for (auto basis : {CaCgBasis::kMonomial, CaCgBasis::kNewton}) {
+        CaCgOptions opt;
+        opt.s = 4;
+        opt.tol = 1e-10;
+        opt.mode = mode;
+        opt.basis = basis;
+        dist::Machine m = make_machine(1);
+        std::vector<double> X(n * nrhs, 0.0);
+        const auto rd = dist::ca_cg_batch(m, *part, A, B, X, nrhs, opt);
+        for (std::size_t j = 0; j < nrhs; ++j) {
+          std::vector<double> x(n, 0.0);
+          const auto ref = krylov::ca_cg(A, col(B, j), x, opt);
+          EXPECT_TRUE(bits_equal(col(X, j), x))
+              << "ca_cg kind=" << int(tc.kind) << " mode=" << int(mode)
+              << " basis=" << int(basis) << " rhs " << j;
+          EXPECT_EQ(rd.rhs[j].iterations, ref.iterations) << "rhs " << j;
+        }
+      }
+    }
+  }
+}
+
+// ---- per-RHS early exit perturbs nothing --------------------------------
+
+TEST(DistBatch, EarlyExitLeavesOthersBitwise) {
+  // RHS 0 is identically zero: it converges before the first
+  // iteration and drops out of the batch, while RHS 1 runs the full
+  // solve.  Independence means RHS 1's iterate is bitwise-equal to a
+  // solo solve -- and on P = 1 to the shared-memory solver.
   const auto A = sparse::stencil_1d(130, 1);
-  const auto B = panel_for(A, 1, 5);
-  for (std::size_t P : {std::size_t(1), std::size_t(4), std::size_t(6)}) {
+  const std::size_t n = A.n;
+  const auto hard = panel_for(A, 1, 17);
+  std::vector<double> B(2 * n, 0.0);
+  std::copy(hard.begin(), hard.end(), B.begin() + std::ptrdiff_t(n));
+  const auto second = [&](const std::vector<double>& X) {
+    return std::span<const double>(X).subspan(n, n);
+  };
+  for (std::size_t P : {std::size_t(1), std::size_t(4)}) {
     {
       dist::Machine ms = make_machine(P), mb = make_machine(P);
-      std::vector<double> xs(A.n, 0.0), xb(A.n, 0.0);
-      const auto solo = dist::cg(ms, A, B, xs, 200, 1e-10);
-      const auto batch = dist::cg_batch(mb, A, B, xb, 1, 200, 1e-10);
-      EXPECT_TRUE(bits_equal(xs, xb)) << "cg P=" << P;
-      EXPECT_EQ(solo.iterations, batch.rhs[0].iterations);
-      expect_counters_equal(ms, mb);
+      std::vector<double> xs(n, 0.0), xb(2 * n, 0.0);
+      const auto solo = dist::cg(ms, A, hard, xs, 200, 1e-10);
+      const auto batch = dist::cg_batch(mb, A, B, xb, 2, 200, 1e-10);
+      EXPECT_TRUE(batch.rhs[0].converged);
+      EXPECT_EQ(batch.rhs[0].iterations, 0u);
+      EXPECT_EQ(solo.iterations, batch.rhs[1].iterations);
+      EXPECT_TRUE(bits_equal(xs, second(xb))) << "cg P=" << P;
+      if (P == 1) {
+        std::vector<double> xr(n, 0.0);
+        krylov::cg(A, hard, xr, 200, 1e-10);
+        EXPECT_TRUE(bits_equal(xr, second(xb))) << "cg vs shared";
+      }
     }
     for (auto mode : {CaCgMode::kStored, CaCgMode::kStreaming}) {
       CaCgOptions opt;
@@ -203,56 +171,21 @@ TEST(DistBatch, B1BitwiseEqualSingle) {
       opt.tol = 1e-10;
       opt.mode = mode;
       dist::Machine ms = make_machine(P), mb = make_machine(P);
-      std::vector<double> xs(A.n, 0.0), xb(A.n, 0.0);
-      const auto solo = dist::ca_cg(ms, A, B, xs, opt);
-      const auto batch = dist::ca_cg_batch(mb, A, B, xb, 1, opt);
-      EXPECT_TRUE(bits_equal(xs, xb))
+      std::vector<double> xs(n, 0.0), xb(2 * n, 0.0);
+      const auto solo = dist::ca_cg(ms, A, hard, xs, opt);
+      const auto batch = dist::ca_cg_batch(mb, A, B, xb, 2, opt);
+      EXPECT_TRUE(batch.rhs[0].converged);
+      EXPECT_EQ(batch.rhs[0].iterations, 0u);
+      EXPECT_EQ(solo.iterations, batch.rhs[1].iterations);
+      EXPECT_TRUE(bits_equal(xs, second(xb)))
           << "ca_cg P=" << P << " mode=" << int(mode);
-      EXPECT_EQ(solo.iterations, batch.rhs[0].iterations);
-      expect_counters_equal(ms, mb);
+      if (P == 1) {
+        std::vector<double> xr(n, 0.0);
+        krylov::ca_cg(A, hard, xr, opt);
+        EXPECT_TRUE(bits_equal(xr, second(xb)))
+            << "ca_cg vs shared, mode=" << int(mode);
+      }
     }
-  }
-}
-
-TEST(DistBatch, P1BitwiseEqualSharedBatch) {
-  const auto A = sparse::stencil_1d(130, 1);
-  const std::size_t nrhs = 3;
-  const auto B = panel_for(A, nrhs, 13);
-  for (auto mode : {CaCgMode::kStored, CaCgMode::kStreaming}) {
-    CaCgOptions opt;
-    opt.s = 4;
-    opt.tol = 1e-10;
-    opt.mode = mode;
-    dist::Machine m = make_machine(1);
-    std::vector<double> xd(A.n * nrhs, 0.0), xs(A.n * nrhs, 0.0);
-    const auto rd = dist::ca_cg_batch(m, A, B, xd, nrhs, opt);
-    const auto rs = krylov::ca_cg_batch(A, B, xs, nrhs, opt);
-    EXPECT_TRUE(bits_equal(xd, xs)) << "mode=" << int(mode);
-    for (std::size_t j = 0; j < nrhs; ++j) {
-      EXPECT_EQ(rd.rhs[j].iterations, rs.rhs[j].iterations) << "rhs " << j;
-    }
-  }
-}
-
-TEST(DistBatch, EarlyExitLeavesOthersBitwise) {
-  const auto A = sparse::stencil_1d(130, 1);
-  const std::size_t n = A.n;
-  const auto hard = panel_for(A, 1, 17);
-  std::vector<double> B(2 * n, 0.0);
-  std::copy(hard.begin(), hard.end(), B.begin() + std::ptrdiff_t(n));
-  for (auto mode : {CaCgMode::kStored, CaCgMode::kStreaming}) {
-    CaCgOptions opt;
-    opt.s = 4;
-    opt.tol = 1e-10;
-    opt.mode = mode;
-    dist::Machine ms = make_machine(4), mb = make_machine(4);
-    std::vector<double> xs(n, 0.0), xb(2 * n, 0.0);
-    const auto solo = dist::ca_cg(ms, A, hard, xs, opt);
-    const auto batch = dist::ca_cg_batch(mb, A, B, xb, 2, opt);
-    EXPECT_TRUE(batch.rhs[0].converged);
-    EXPECT_EQ(batch.rhs[0].iterations, 0u);
-    EXPECT_EQ(solo.iterations, batch.rhs[1].iterations);
-    EXPECT_TRUE(bits_equal(xs, std::span<const double>(xb).subspan(n, n)));
   }
 }
 

@@ -69,7 +69,7 @@ TEST_P(CaCgSweep, SolvesToSameAccuracyAsCg) {
   opt.mode = mode;
   opt.tol = 1e-10;
   opt.max_outer = 400;
-  const auto res = ca_cg(a, b, x, opt);
+  ca_cg(a, b, x, opt);
   EXPECT_LT(rel_residual(a, b, x), 1e-7)
       << "s=" << s << " mode=" << int(mode);
 }

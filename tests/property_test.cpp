@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 #include <tuple>
 
 #include "cachesim/traced.hpp"
@@ -45,10 +46,17 @@ INSTANTIATE_TEST_SUITE_P(
                       ShapeCase{8, 64, 8, 8}, ShapeCase{48, 24, 12, 4},
                       ShapeCase{24, 24, 24, 8}, ShapeCase{40, 20, 60, 10}),
     [](const auto& info) {
-      return "m" + std::to_string(std::get<0>(info.param)) + "n" +
-             std::to_string(std::get<1>(info.param)) + "l" +
-             std::to_string(std::get<2>(info.param)) + "b" +
-             std::to_string(std::get<3>(info.param));
+      // Appended piecewise: GCC 12 raises a false -Wrestrict on the
+      // inlined `"literal" + std::string` prepend.
+      std::string name = "m";
+      name += std::to_string(std::get<0>(info.param));
+      name += "n";
+      name += std::to_string(std::get<1>(info.param));
+      name += "l";
+      name += std::to_string(std::get<2>(info.param));
+      name += "b";
+      name += std::to_string(std::get<3>(info.param));
+      return name;
     });
 
 // ---- WA property across deterministic policies -------------------------
